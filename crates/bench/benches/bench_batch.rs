@@ -12,7 +12,7 @@
 
 use smc_bench::quickbench::{black_box, Harness};
 use smc_core::batch::{check_batch, check_parallel};
-use smc_core::checker::{check_with_config, CheckConfig, SchedulerKind};
+use smc_core::checker::{check_with_config, CheckConfig};
 use smc_core::{models, ModelSpec};
 use smc_history::{History, HistoryBuilder};
 use smc_programs::corpus::litmus_suite;
@@ -137,21 +137,15 @@ fn bench_memoized_sweep(harness: &mut Harness) {
     });
 }
 
-/// One SC refutation whose single-rf extension search dominates: the
-/// prefix-split path lets `check_parallel` partition that search. The
-/// history is tiny (a handful of search nodes), so under the default
-/// config the adaptive cutover probe decides it sequentially and the
-/// `check_parallel_j*` rows should sit within noise of `sequential` —
-/// the `_nocutover` row keeps the old always-fan-out cost (thread spawn
-/// plus shared failed-set setup) measurable for comparison.
+/// One SC refutation whose single-rf extension search dominates, which
+/// `check_parallel` can split across workers. The history is tiny (a
+/// handful of search nodes), so under the default config the adaptive
+/// cutover probe decides it sequentially and the `check_parallel_j*` rows
+/// should sit within noise of `sequential`.
 fn bench_split_dfs(harness: &mut Harness) {
     let h = reversed_reads(10, 3);
     let spec = models::sc();
     let cfg = CheckConfig::default();
-    let nocutover = CheckConfig {
-        parallel_cutover: 0,
-        ..CheckConfig::default()
-    };
     let mut g = harness.group("batch/split_dfs_sc_reversed");
     g.bench("sequential", || {
         black_box(check_with_config(&h, &spec, &cfg));
@@ -162,10 +156,6 @@ fn bench_split_dfs(harness: &mut Harness) {
             black_box((v, stats.nodes_spent));
         });
     }
-    g.bench("check_parallel_j4_nocutover", || {
-        let (v, stats) = check_parallel(&h, &spec, &nocutover, 4);
-        black_box((v, stats.nodes_spent));
-    });
 }
 
 /// Store-buffering with `pad` private writes per processor ahead of the
@@ -188,35 +178,24 @@ fn padded_sb(pad: i64) -> History {
     b.build()
 }
 
-/// The deep-funnel refutation that separates the two parallel engines.
-/// The static-prefix engine hands every prefix a *private* failed-state
-/// memo, so each of its subtrees re-explores the shared diamond from
-/// scratch; the work-stealing engine's workers prune through one shared
-/// concurrent failed-state set. The j4 rows compare the engines at the
-/// same worker count (the stealing row also carries the scheduler's task
-/// and fingerprint overhead, which is why `sequential` is the floor).
+/// The deep-funnel refutation: a split search pays off only if the
+/// workers share refutations, and the work-stealing engine's workers
+/// prune through one concurrent failed-state set. The stealing row
+/// carries the scheduler's task and fingerprint overhead, which is why
+/// `sequential` is the floor.
 fn bench_split_dfs_deep_funnel(harness: &mut Harness) {
     let h = padded_sb(48);
     let spec = models::sc();
     // Cutover disabled: this history's ~4.8k nodes would exhaust the
-    // default probe and the parallel rows would pay probe + fan-out,
-    // muddying the engine comparison these rows exist to make.
+    // default probe and the parallel row would pay probe + fan-out,
+    // muddying the split-search cost this row exists to measure.
     let stealing = CheckConfig {
-        parallel_cutover: 0,
-        ..CheckConfig::default()
-    };
-    let static_cfg = CheckConfig {
-        scheduler: SchedulerKind::StaticPrefix,
         parallel_cutover: 0,
         ..CheckConfig::default()
     };
     let mut g = harness.group("batch/split_dfs_deep_funnel");
     g.bench("sequential", || {
         black_box(check_with_config(&h, &spec, &stealing));
-    });
-    g.bench("static_prefix_j4", || {
-        let (v, stats) = check_parallel(&h, &spec, &static_cfg, 4);
-        black_box((v, stats.nodes_spent));
     });
     g.bench("stealing_j4", || {
         let (v, stats) = check_parallel(&h, &spec, &stealing, 4);

@@ -2,9 +2,7 @@
 
 use crate::json::JsonObject;
 use smc_core::batch::{check_batch, BatchResult};
-use smc_core::checker::{
-    format_view, CheckConfig, CheckStats, Engine, EngineKind, SchedulerKind, Verdict,
-};
+use smc_core::checker::{format_view, CheckConfig, CheckStats, Engine, EngineKind, Verdict};
 use smc_core::memo::MemoStats;
 use smc_core::models;
 use smc_core::spec::ModelSpec;
@@ -25,14 +23,12 @@ use std::process::ExitCode;
 pub const USAGE: &str = "\
 usage:
   smc check <file> [--model NAME] [--jobs N] [--stats]
-            [--memo-file PATH] [--scheduler stealing|static]
-            [--cutover N] [--engine exhaustive|saturate|auto]
+            [--memo-file PATH] [--cutover N]
+            [--engine exhaustive|saturate|auto]
                                     check a litmus history or suite;
                                     --memo-file persists decided verdicts
                                     across runs (corrupt or mismatched
-                                    files are ignored with a warning);
-                                    --scheduler selects the parallel
-                                    search engine (default stealing)
+                                    files are ignored with a warning)
   smc corpus [--jobs N] [--stats] [--json PATH] [--exhaustive]
             [--engine-equiv] [--memo-file PATH] [--cutover N]
             [--engine exhaustive|saturate|auto]
@@ -57,8 +53,8 @@ usage:
                                     run the Bakery algorithm (default rcpc)
   smc separate <model-a> <model-b> [--jobs N] [--max-universe SPEC]
             [--json PATH] [--memo-file PATH] [--emit-dir DIR]
-            [--no-minimize] [--scheduler stealing|static]
-            [--cutover N] [--engine exhaustive|saturate|auto]
+            [--no-minimize] [--cutover N]
+            [--engine exhaustive|saturate|auto]
                                     search universes of increasing size for
                                     minimized witness histories one model
                                     admits and the other refutes;
@@ -164,6 +160,10 @@ reported in the same order as sequential checking). With more workers
 than (history, model) pairs, the workers move inside each check: the
 work-stealing scheduler splits the extension search itself.
 
+Commands that take a file or other positional arguments (check,
+matrix, explore, separate, monitor, trace) reject any --flag they do
+not list above.
+
 --cutover N bounds the sequential probe a parallel check (--jobs > 1)
 runs before spawning workers: if the probe decides within N search
 nodes the check never pays thread or shared-pool setup (default 4096;
@@ -208,23 +208,6 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
-}
-
-fn positional(args: &[String]) -> Vec<&String> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = true;
-            continue;
-        }
-        out.push(a);
-    }
-    out
 }
 
 fn read_file(path: &str) -> Result<String, String> {
@@ -303,8 +286,9 @@ fn render_stats(stats: &CheckStats) -> String {
         ));
     }
     // Failed-set counters only mean something when the work-stealing
-    // scheduler actually ran; the static and sequential paths never
-    // touch the set, and printing their zeros would imply it did.
+    // scheduler actually ran; the sequential and coarse per-store-order
+    // paths never touch the set, and printing their zeros would imply it
+    // did.
     if stats.work_stealing_ran {
         let fs = stats.failed_set;
         s.push_str(&format!(
@@ -379,18 +363,6 @@ fn cutover_flag(args: &[String], default: u64) -> Result<u64, String> {
     }
 }
 
-/// Parse `--scheduler stealing|static` (default stealing).
-fn scheduler_flag(args: &[String]) -> Result<SchedulerKind, String> {
-    match flag_value(args, "--scheduler") {
-        None => Ok(SchedulerKind::WorkStealing),
-        Some("stealing") => Ok(SchedulerKind::WorkStealing),
-        Some("static") => Ok(SchedulerKind::StaticPrefix),
-        Some(other) => Err(format!(
-            "--scheduler: `{other}` is not `stealing` or `static`"
-        )),
-    }
-}
-
 /// Parse `--engine exhaustive|saturate|auto` (default auto).
 fn engine_flag(args: &[String]) -> Result<EngineKind, String> {
     match flag_value(args, "--engine") {
@@ -409,7 +381,6 @@ fn engine_flag(args: &[String]) -> Result<EngineKind, String> {
 /// commands cannot drift apart in spelling, defaults or error messages.
 struct CheckFlags {
     jobs: usize,
-    scheduler: SchedulerKind,
     cutover: u64,
     engine: EngineKind,
     memo_file: Option<String>,
@@ -419,7 +390,6 @@ impl CheckFlags {
     fn parse(args: &[String]) -> Result<Self, String> {
         Ok(CheckFlags {
             jobs: jobs_flag(args)?,
-            scheduler: scheduler_flag(args)?,
             cutover: cutover_flag(args, CheckConfig::default().parallel_cutover)?,
             engine: engine_flag(args)?,
             memo_file: flag_value(args, "--memo-file").map(str::to_owned),
@@ -429,7 +399,6 @@ impl CheckFlags {
     /// Copy the parsed flags into a config (memo attachment stays the
     /// caller's decision — see [`CheckFlags::with_memo_if_requested`]).
     fn configure(&self, cfg: &mut CheckConfig) {
-        cfg.scheduler = self.scheduler;
         cfg.parallel_cutover = self.cutover;
         cfg.engine = self.engine;
     }
@@ -477,7 +446,12 @@ fn memo_file_save(cfg: &CheckConfig, path: Option<&str>) {
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(args);
+    let pos = positionals(
+        "check",
+        args,
+        &["--model", "--jobs", "--cutover", "--engine", "--memo-file"],
+        &["--stats"],
+    )?;
     let path = pos.first().ok_or("check: missing <file>")?;
     let model_list = resolve_models(flag_value(args, "--model"))?;
     let flags = CheckFlags::parse(args)?;
@@ -691,18 +665,15 @@ fn cmd_corpus(args: &[String]) -> Result<ExitCode, String> {
 fn corpus_engine_equiv(flags: &CheckFlags, json_path: Option<&str>) -> Result<ExitCode, String> {
     use smc_core::verify::verify_witness;
 
-    let mut ex_cfg = CheckConfig {
+    let ex_cfg = CheckConfig {
         engine: EngineKind::Exhaustive,
+        parallel_cutover: flags.cutover,
         ..CheckConfig::default()
     };
-    let mut sat_cfg = CheckConfig {
+    let sat_cfg = CheckConfig {
         engine: EngineKind::Saturate,
-        ..CheckConfig::default()
+        ..ex_cfg.clone()
     };
-    for cfg in [&mut ex_cfg, &mut sat_cfg] {
-        cfg.scheduler = flags.scheduler;
-        cfg.parallel_cutover = flags.cutover;
-    }
     let suite = smc_programs::corpus::litmus_suite();
     let model_list = models::saturating_models();
     let ex = check_suite(&suite, &model_list, &ex_cfg, flags.jobs);
@@ -887,7 +858,12 @@ fn corpus_exhaustive(
 }
 
 fn cmd_matrix(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(args);
+    let pos = positionals(
+        "matrix",
+        args,
+        &["--jobs", "--cutover", "--engine", "--memo-file"],
+        &["--stats"],
+    )?;
     let path = pos.first().ok_or("matrix: missing <file>")?;
     let flags = CheckFlags::parse(args)?;
     let jobs = flags.jobs;
@@ -966,7 +942,12 @@ fn to_script(h: &History) -> OpScript {
 }
 
 fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(args);
+    let pos = positionals(
+        "explore",
+        args,
+        &["--memory", "--model", "--jobs"],
+        &["--check"],
+    )?;
     let path = pos.first().ok_or("explore: missing <file>")?;
     let memory = flag_value(args, "--memory").ok_or("explore: missing --memory NAME")?;
     let do_check = args.iter().any(|a| a == "--check");
@@ -1107,20 +1088,20 @@ fn cmd_bakery(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_separate(args: &[String]) -> Result<ExitCode, String> {
     use smc_core::separate::{DirectionStatus, Separator};
 
-    // `positional` treats the word after any `--flag` as its value, which
-    // would swallow a model name after the boolean `--all`/`--no-minimize`;
-    // collect positionals against the explicit value-flag list instead.
-    const VALUE_FLAGS: [&str; 8] = [
-        "--jobs",
-        "--max-universe",
-        "--json",
-        "--memo-file",
-        "--emit-dir",
-        "--scheduler",
-        "--cutover",
-        "--engine",
-    ];
-    let pos = positionals_with(args, &VALUE_FLAGS);
+    let pos = positionals(
+        "separate",
+        args,
+        &[
+            "--jobs",
+            "--max-universe",
+            "--json",
+            "--memo-file",
+            "--emit-dir",
+            "--cutover",
+            "--engine",
+        ],
+        &["--all", "--no-minimize"],
+    )?;
     let all = args.iter().any(|a| a == "--all");
     let model_list: Vec<ModelSpec> = if all {
         if !pos.is_empty() {
@@ -1343,9 +1324,16 @@ fn emit_separation_files(
     Ok(())
 }
 
-/// Split `args` into positionals given the flags that consume a value
-/// (the `positional` helper would swallow the word after a boolean flag).
-fn positionals_with<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
+/// Split a subcommand's `args` into positionals. Each of `value_flags`
+/// consumes the word after it, each of `switches` stands alone, and any
+/// other `--flag` is an error naming it: a misspelled flag must not be
+/// silently ignored.
+fn positionals<'a>(
+    cmd: &str,
+    args: &'a [String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Result<Vec<&'a str>, String> {
     let mut pos: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -1354,14 +1342,14 @@ fn positionals_with<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str
             i += 2;
             continue;
         }
-        if a.starts_with("--") {
-            i += 1;
-            continue;
+        if !a.starts_with("--") {
+            pos.push(a);
+        } else if !switches.contains(&a) {
+            return Err(format!("{cmd}: unknown flag `{a}`"));
         }
-        pos.push(a);
         i += 1;
     }
-    pos
+    Ok(pos)
 }
 
 /// Parse an optional numeric flag with a default.
@@ -1533,21 +1521,24 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
     use smc_monitor::{Monitor, MonitorConfig, TriVerdict};
     use std::io::BufRead;
 
-    const VALUE_FLAGS: [&str; 12] = [
-        "--model",
-        "--jobs",
-        "--json",
-        "--max-states",
-        "--cutover",
-        "--scheduler",
-        "--engine",
-        "--memo-file",
-        "--batch",
-        "--window",
-        "--checkpoint-file",
-        "--restore-from",
-    ];
-    let pos = positionals_with(args, &VALUE_FLAGS);
+    let pos = positionals(
+        "monitor",
+        args,
+        &[
+            "--model",
+            "--jobs",
+            "--json",
+            "--max-states",
+            "--cutover",
+            "--engine",
+            "--memo-file",
+            "--batch",
+            "--window",
+            "--checkpoint-file",
+            "--restore-from",
+        ],
+        &["--stats", "--corpus"],
+    )?;
     let flags = CheckFlags::parse(args)?;
     let jobs = flags.jobs;
     let show_stats = args.iter().any(|a| a == "--stats");
@@ -2146,21 +2137,25 @@ fn cmd_loadgen(args: &[String]) -> Result<ExitCode, String> {
 /// `smc trace`: generate traces (`gen`) or linearize litmus files
 /// (`from`).
 fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
-    const VALUE_FLAGS: [&str; 12] = [
-        "--memory",
-        "--procs",
-        "--ops",
-        "--locs",
-        "--values",
-        "--alias-values",
-        "--seed",
-        "--out",
-        "--test",
-        "--events",
-        "--sessions",
-        "--churn",
-    ];
-    let pos = positionals_with(args, &VALUE_FLAGS);
+    let pos = positionals(
+        "trace",
+        args,
+        &[
+            "--memory",
+            "--procs",
+            "--ops",
+            "--locs",
+            "--values",
+            "--alias-values",
+            "--seed",
+            "--out",
+            "--test",
+            "--events",
+            "--sessions",
+            "--churn",
+        ],
+        &[],
+    )?;
     match pos.first().copied() {
         Some("gen") => trace_gen(args),
         Some("from") => trace_from(args, pos.get(1).copied()),
@@ -2588,7 +2583,10 @@ mod tests {
         assert_eq!(flag_value(&args, "--model"), Some("TSO"));
         assert_eq!(flag_value(&args, "--runs"), Some("5"));
         assert_eq!(flag_value(&args, "--nope"), None);
-        assert_eq!(positional(&args), vec!["x.litmus"]);
+        assert_eq!(
+            positionals("t", &args, &["--model", "--runs"], &[]).unwrap(),
+            vec!["x.litmus"]
+        );
     }
 
     #[test]
@@ -2620,8 +2618,6 @@ mod tests {
             "7",
             "--engine",
             "saturate",
-            "--scheduler",
-            "static",
             "--memo-file",
             "m.bin",
         ]
@@ -2635,7 +2631,6 @@ mod tests {
         flags.configure(&mut cfg);
         assert_eq!(cfg.parallel_cutover, 7);
         assert_eq!(cfg.engine, EngineKind::Saturate);
-        assert_eq!(cfg.scheduler, SchedulerKind::StaticPrefix);
         // Defaults when no flags are given.
         let flags = CheckFlags::parse(&[]).unwrap();
         assert_eq!(flags.jobs, 1);

@@ -29,17 +29,14 @@ use crate::budget::{Budget, SharedBudget};
 use crate::canon::canonicalize;
 use crate::checker::{
     check_with_budget, check_with_rf, check_with_stats, check_with_store_order, proc_constraints,
-    view_op_sets, CheckConfig, CheckStats, SchedulerKind, Stage, Step, Verdict, Witness,
+    view_op_sets, CheckConfig, CheckStats, Stage, Step, Verdict, Witness,
 };
 use crate::constraints::{assemble_global, BaseOrders, Candidates};
 use crate::memo::MemoCache;
 use crate::rf::{enumerate_reads_from, ReadsFrom};
 use crate::spec::ModelSpec;
 use crate::steal::{run_units, steal_search, SharedFailedSet, StealDriver, Unit};
-use crate::view::{
-    find_legal_extension, find_legal_extension_from, split_prefixes, LegalityMode, PrefixSplit,
-    SearchOutcome, ViewProblem,
-};
+use crate::view::{LegalityMode, SearchOutcome, ViewProblem};
 use smc_history::{History, OpId};
 use smc_relation::BitSet;
 use std::ops::ControlFlow;
@@ -49,7 +46,7 @@ use std::time::Instant;
 
 /// Above this many (store order × processor) units, the work-stealing
 /// TSO fan-out would preprocess too many scheduling contexts up front;
-/// the coarse per-store fan-out takes over.
+/// the coarse per-store-order fan-out takes over.
 const STEAL_UNIT_CAP: usize = 1024;
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -168,13 +165,12 @@ fn views_decouple(spec: &ModelSpec) -> bool {
 /// out across workers (causal, PC, RC — any model that enumerates
 /// explanations); for models with no shared orders (PRAM-like) the
 /// per-processor view searches run concurrently; identical-views models
-/// (SC) prefix-partition the single global view search into work-stealing
-/// subtrees; and global-write-order models (TSO) fan the store orders out
-/// (up to `cfg.store_order_cap`, beyond which they stream sequentially).
+/// (SC) split the single global view search into work-stealing subtrees;
+/// and global-write-order models (TSO) fan the store orders out (up to
+/// `cfg.store_order_cap`, beyond which they stream sequentially).
 /// Coherence and labeled-order enumerations fall back to
 /// [`check_with_stats`]. All sub-searches inherit the caller's
-/// `CheckConfig` (budget, split factor, caps) rather than re-deriving
-/// defaults.
+/// `CheckConfig` (budget, caps) rather than re-deriving defaults.
 pub fn check_parallel(
     h: &History,
     spec: &ModelSpec,
@@ -300,9 +296,8 @@ fn fan_out(
     } else if views_decouple(spec) {
         parallel_views(h, spec, &base, None, cfg, jobs)
     } else if spec.identical_views {
-        // SC-like: run the single global view search on the scheduler
-        // selected by `cfg.scheduler` (work-stealing frontier tasks, or
-        // static prefix partitions over one shared pool).
+        // SC-like: split the single global view search into
+        // work-stealing frontier tasks over one shared pool.
         parallel_identical_views(h, spec, &base, cfg, jobs)
     } else if spec.global_write_order {
         // TSO-like: collect the store orders up front and fan them out.
@@ -449,10 +444,9 @@ impl StealDriver for AllViewsDriver {
 
 /// Search each processor's view concurrently (models with no shared
 /// orders, so the views are independent once the reads-from assignment —
-/// if any — is fixed). Any processor with no legal view refutes the whole
-/// history and cancels the sibling searches. Under the work-stealing
-/// scheduler all processors' searches feed one task pool; under
-/// [`SchedulerKind::StaticPrefix`] each processor is one coarse task.
+/// if any — is fixed). All processors' searches feed one work-stealing
+/// task pool; any processor with no legal view refutes the whole history
+/// and cancels the sibling searches.
 fn parallel_views(
     h: &History,
     spec: &ModelSpec,
@@ -480,114 +474,34 @@ fn parallel_views(
 
     let op_sets = view_op_sets(h, spec.delta);
     let procs = h.num_procs();
-
-    if cfg.scheduler == SchedulerKind::WorkStealing {
-        let constraints: Vec<_> = (0..procs)
-            .map(|p| proc_constraints(h, spec, base, &g, p))
-            .collect();
-        let units: Vec<Unit<'_>> = (0..procs)
-            .map(|p| Unit::from_parts(h, &op_sets[p], &constraints[p], legality, p as u64 + 1))
-            .collect();
-        let driver = AllViewsDriver {
-            views: Mutex::new((0..procs).map(|_| None).collect()),
-            missing: AtomicUsize::new(procs),
-            refuted: AtomicBool::new(false),
-        };
-        let pool = SharedBudget::new(cfg.node_budget);
-        let failed = SharedFailedSet::with_capacity(cfg.failed_set_capacity);
-        let end = run_units(&units, &driver, jobs, &pool, &failed);
-        stats.nodes_spent = end.nodes;
-        stats.work_stealing_ran = true;
-        stats.failed_set = failed.stats();
-        if driver.refuted.load(Ordering::SeqCst) {
-            return (Verdict::Disallowed, stats);
-        }
-        let views = std::mem::take(&mut *lock(&driver.views));
-        if end.exhausted || views.iter().any(Option::is_none) {
-            stats.exhausted_stage = Some(Stage::ViewSearch);
-            return (Verdict::Exhausted, stats);
-        }
-        return (
-            Verdict::Allowed(Box::new(Witness {
-                views: views.into_iter().flatten().collect(),
-                store_order: None,
-                coherence: None,
-                labeled_order: None,
-                reads_from: rf.map(|r| r.as_slice().to_vec()),
-            })),
-            stats,
-        );
-    }
-
+    let constraints: Vec<_> = (0..procs)
+        .map(|p| proc_constraints(h, spec, base, &g, p))
+        .collect();
+    let units: Vec<Unit<'_>> = (0..procs)
+        .map(|p| Unit::from_parts(h, &op_sets[p], &constraints[p], legality, p as u64 + 1))
+        .collect();
+    let driver = AllViewsDriver {
+        views: Mutex::new((0..procs).map(|_| None).collect()),
+        missing: AtomicUsize::new(procs),
+        refuted: AtomicBool::new(false),
+    };
     let pool = SharedBudget::new(cfg.node_budget);
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<SearchOutcome>>> = Mutex::new((0..procs).map(|_| None).collect());
-    let nodes = Mutex::new(0u64);
-
-    let jobs = jobs.min(procs.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| {
-                let budget = pool.attach();
-                loop {
-                    if pool.is_cancelled() {
-                        break;
-                    }
-                    let p = next.fetch_add(1, Ordering::Relaxed);
-                    if p >= procs {
-                        break;
-                    }
-                    let constraints = proc_constraints(h, spec, base, &g, p);
-                    let problem = ViewProblem {
-                        history: h,
-                        ops: op_sets[p].clone(),
-                        constraints: &constraints,
-                        legality,
-                    };
-                    let out = find_legal_extension(&problem, &budget);
-                    // A missing view refutes the history outright.
-                    if matches!(out, SearchOutcome::NotFound) {
-                        pool.cancel();
-                    }
-                    if let Ok(mut slots) = slots.lock() {
-                        slots[p] = Some(out);
-                    } else {
-                        break;
-                    }
-                }
-                budget.release();
-                if let Ok(mut nodes) = nodes.lock() {
-                    *nodes += budget.spent();
-                }
-            });
-        }
-    });
-
-    let slots = match slots.into_inner() {
-        Ok(s) => s,
-        Err(p) => p.into_inner(),
-    };
-    stats.nodes_spent = match nodes.into_inner() {
-        Ok(n) => n,
-        Err(p) => p.into_inner(),
-    };
-
-    let mut views = Vec::with_capacity(procs);
-    let mut exhausted = false;
-    for slot in slots {
-        match slot {
-            Some(SearchOutcome::Found(v)) => views.push(v),
-            Some(SearchOutcome::NotFound) => return (Verdict::Disallowed, stats),
-            Some(SearchOutcome::Exhausted) | None => exhausted = true,
-        }
+    let failed = SharedFailedSet::with_capacity(cfg.failed_set_capacity);
+    let end = run_units(&units, &driver, jobs, &pool, &failed);
+    stats.nodes_spent = end.nodes;
+    stats.work_stealing_ran = true;
+    stats.failed_set = failed.stats();
+    if driver.refuted.load(Ordering::SeqCst) {
+        return (Verdict::Disallowed, stats);
     }
-    if exhausted {
+    let views = std::mem::take(&mut *lock(&driver.views));
+    if end.exhausted || views.iter().any(Option::is_none) {
         stats.exhausted_stage = Some(Stage::ViewSearch);
         return (Verdict::Exhausted, stats);
     }
     (
         Verdict::Allowed(Box::new(Witness {
-            views,
+            views: views.into_iter().flatten().collect(),
             store_order: None,
             coherence: None,
             labeled_order: None,
@@ -597,16 +511,13 @@ fn parallel_views(
     )
 }
 
-/// Parallelize an identical-views (SC-like) check. Under the default
-/// [`SchedulerKind::WorkStealing`], the single global legal-extension
-/// search runs on the frontier scheduler in [`crate::steal`], with workers
-/// stealing subtrees from each other and sharing dead-state fingerprints
-/// through one [`SharedFailedSet`]. Under [`SchedulerKind::StaticPrefix`]
-/// (the pre-stealing engine, kept for comparison), the search space is
-/// prefix-partitioned up front ([`split_prefixes`]) and each subtree is
-/// handed to a worker over one shared node pool. Either way the first
-/// complete legal order cancels the rest, and all-`NotFound` refutes the
-/// history exactly as the sequential DFS would.
+/// Parallelize an identical-views (SC-like) check: the single global
+/// legal-extension search runs on the frontier scheduler in
+/// [`crate::steal`], with workers stealing subtrees from each other and
+/// sharing dead-state fingerprints through one [`SharedFailedSet`]. The
+/// first complete legal order cancels the rest, and a search that runs
+/// out of subtrees refutes the history exactly as the sequential DFS
+/// would.
 fn parallel_identical_views(
     h: &History,
     spec: &ModelSpec,
@@ -629,109 +540,29 @@ fn parallel_identical_views(
         constraints: &g,
         legality: LegalityMode::ByValue,
     };
-    let witness = |order: Vec<OpId>| {
-        Verdict::Allowed(Box::new(Witness {
-            views: vec![order; h.num_procs()],
-            store_order: None,
-            coherence: None,
-            labeled_order: None,
-            reads_from: None,
-        }))
-    };
-
-    if cfg.scheduler == SchedulerKind::WorkStealing {
-        let pool = SharedBudget::new(cfg.node_budget);
-        let failed = SharedFailedSet::with_capacity(cfg.failed_set_capacity);
-        let (out, nodes) = steal_search(&problem, jobs, &pool, &failed);
-        stats.nodes_spent = nodes;
-        stats.work_stealing_ran = true;
-        stats.failed_set = failed.stats();
-        return match out {
-            SearchOutcome::Found(order) => (witness(order), stats),
-            SearchOutcome::NotFound => (Verdict::Disallowed, stats),
-            SearchOutcome::Exhausted => {
-                stats.exhausted_stage = Some(Stage::ViewSearch);
-                (Verdict::Exhausted, stats)
-            }
-        };
-    }
-
     let pool = SharedBudget::new(cfg.node_budget);
-    let seed = pool.attach();
-    let split = split_prefixes(&problem, jobs * cfg.split_prefix_factor.max(1), &seed);
-    seed.release();
-    let seed_spent = seed.spent();
-    let prefixes = match split {
-        PrefixSplit::Found(order) => {
-            stats.nodes_spent = seed_spent;
-            return (witness(order), stats);
-        }
-        PrefixSplit::NoExtension => {
-            stats.nodes_spent = seed_spent;
-            return (Verdict::Disallowed, stats);
-        }
-        PrefixSplit::Split(p) => p,
-    };
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<SearchOutcome>>> =
-        Mutex::new((0..prefixes.len()).map(|_| None).collect());
-    let nodes = Mutex::new(seed_spent);
-    let workers = jobs.min(prefixes.len().max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let budget = pool.attach();
-                loop {
-                    if pool.is_cancelled() {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= prefixes.len() {
-                        break;
-                    }
-                    let out = find_legal_extension_from(&problem, &prefixes[i], &budget);
-                    if matches!(out, SearchOutcome::Found(_)) {
-                        pool.cancel();
-                    }
-                    if let Ok(mut slots) = slots.lock() {
-                        slots[i] = Some(out);
-                    } else {
-                        break;
-                    }
-                }
-                budget.release();
-                if let Ok(mut nodes) = nodes.lock() {
-                    *nodes += budget.spent();
-                }
-            });
-        }
-    });
-
-    let slots = match slots.into_inner() {
-        Ok(s) => s,
-        Err(p) => p.into_inner(),
-    };
-    stats.nodes_spent = match nodes.into_inner() {
-        Ok(n) => n,
-        Err(p) => p.into_inner(),
-    };
-    let mut exhausted = false;
-    for slot in slots {
-        match slot {
-            Some(SearchOutcome::Found(order)) => return (witness(order), stats),
-            Some(SearchOutcome::NotFound) => {}
-            // A `None` slot means a worker was cancelled (or died) before
-            // recording; without a decided outcome that subtree is
-            // unexplored, so the honest answer is exhaustion.
-            Some(SearchOutcome::Exhausted) | None => exhausted = true,
+    let failed = SharedFailedSet::with_capacity(cfg.failed_set_capacity);
+    let (out, nodes) = steal_search(&problem, jobs, &pool, &failed);
+    stats.nodes_spent = nodes;
+    stats.work_stealing_ran = true;
+    stats.failed_set = failed.stats();
+    match out {
+        SearchOutcome::Found(order) => (
+            Verdict::Allowed(Box::new(Witness {
+                views: vec![order; h.num_procs()],
+                store_order: None,
+                coherence: None,
+                labeled_order: None,
+                reads_from: None,
+            })),
+            stats,
+        ),
+        SearchOutcome::NotFound => (Verdict::Disallowed, stats),
+        SearchOutcome::Exhausted => {
+            stats.exhausted_stage = Some(Stage::ViewSearch);
+            (Verdict::Exhausted, stats)
         }
     }
-    if exhausted {
-        stats.exhausted_stage = Some(Stage::ViewSearch);
-        return (Verdict::Exhausted, stats);
-    }
-    (Verdict::Disallowed, stats)
 }
 
 /// Per-store-order state inside a [`StoreDriver`]: which processor views
@@ -915,12 +746,12 @@ fn steal_store_orders(
 
 /// Parallelize a global-write-order (TSO-like) check: collect the store
 /// orders up front (bounded by `cfg.store_order_cap`), then fan them out.
-/// Under the work-stealing scheduler every (store order, processor) pair
-/// becomes a schedulable unit ([`steal_store_orders`]); under
-/// [`SchedulerKind::StaticPrefix`] — or when the unit grid would exceed
-/// [`STEAL_UNIT_CAP`] — each store order is one coarse task. Returns
-/// `None` when the enumeration exceeds the cap, in which case the caller
-/// streams the orders sequentially.
+/// Every (store order, processor) pair becomes a work-stealing unit
+/// ([`steal_store_orders`]) unless that grid would exceed
+/// [`STEAL_UNIT_CAP`]; then each store order is one coarse task, the only
+/// parallel path for such inputs. Returns `None` when the enumeration
+/// exceeds the cap, in which case the caller streams the orders
+/// sequentially.
 fn parallel_store_orders(
     h: &History,
     spec: &ModelSpec,
@@ -959,9 +790,7 @@ fn parallel_store_orders(
         return None;
     }
 
-    if cfg.scheduler == SchedulerKind::WorkStealing
-        && stores.len().saturating_mul(h.num_procs().max(1)) <= STEAL_UNIT_CAP
-    {
+    if stores.len().saturating_mul(h.num_procs().max(1)) <= STEAL_UNIT_CAP {
         return Some(steal_store_orders(
             h,
             spec,
@@ -1207,47 +1036,6 @@ mod tests {
                     );
                     if let Verdict::Allowed(w) = &par {
                         verify_witness(&h, &m, w).expect("split witness verifies");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn both_schedulers_agree_with_sequential() {
-        // The pre-stealing static-prefix engine stays selectable (it is
-        // the benchmark baseline); both schedulers must match the
-        // sequential verdicts on every figure.
-        for scheduler in [SchedulerKind::WorkStealing, SchedulerKind::StaticPrefix] {
-            let cfg = CheckConfig {
-                scheduler,
-                ..CheckConfig::default()
-            };
-            for h in figures() {
-                for m in [
-                    models::sc(),
-                    models::tso(),
-                    models::pram(),
-                    models::causal(),
-                ] {
-                    let seq = check_with_config(&h, &m, &cfg);
-                    let (par, stats) = check_parallel(&h, &m, &cfg, 4);
-                    assert_eq!(
-                        par.decided(),
-                        seq.decided(),
-                        "{} under {scheduler:?} disagrees",
-                        m.name
-                    );
-                    if let Verdict::Allowed(w) = &par {
-                        verify_witness(&h, &m, w).expect("witness verifies");
-                    }
-                    if scheduler == SchedulerKind::StaticPrefix {
-                        let z = crate::steal::FailedSetStats::default();
-                        assert_eq!(stats.failed_set, z, "static path must not touch the set");
-                        assert!(
-                            !stats.work_stealing_ran,
-                            "static path must not claim a stealing run"
-                        );
                     }
                 }
             }

@@ -55,17 +55,10 @@ pub struct CheckConfig {
     /// witness, which verifies but need not be the same witness the
     /// search would find.
     pub memo: Option<Arc<MemoCache>>,
-    /// Work-stealing split granularity for [`crate::batch::check_parallel`]:
-    /// a single view search is prefix-partitioned into about
-    /// `jobs × split_prefix_factor` subtrees.
-    pub split_prefix_factor: usize,
     /// Maximum store orders [`crate::batch::check_parallel`] collects
     /// up-front when fanning a TSO-style check across workers; above the
     /// cap it falls back to the sequential streaming enumeration.
     pub store_order_cap: usize,
-    /// Which parallel engine [`crate::batch::check_parallel`] uses to
-    /// split a single view search across workers.
-    pub scheduler: SchedulerKind,
     /// Capacity (fingerprint slots) of the shared failed-state set one
     /// work-stealing check allocates; see
     /// [`crate::steal::SharedFailedSet`].
@@ -148,31 +141,13 @@ impl std::fmt::Display for Engine {
     }
 }
 
-/// The engine [`crate::batch::check_parallel`] uses to split a single
-/// view search across worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Work-stealing frontier scheduler over a shared concurrent
-    /// failed-state set ([`crate::steal`]): workers donate and steal
-    /// partially-explored subtrees, and every refuted state is pruned
-    /// for all workers at once.
-    #[default]
-    WorkStealing,
-    /// The legacy engine: statically prefix-partition the search via
-    /// [`crate::view::split_prefixes`], one private failed-state memo
-    /// per worker. Kept selectable for ablation benchmarks.
-    StaticPrefix,
-}
-
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
             max_rf: 4096,
             node_budget: 20_000_000,
             memo: None,
-            split_prefix_factor: 4,
             store_order_cap: 16_384,
-            scheduler: SchedulerKind::WorkStealing,
             failed_set_capacity: crate::steal::DEFAULT_FAILED_CAPACITY,
             // ~1.2ms of sequential probing at measured search rates — a
             // few times the thread-spawn + failed-set setup cost it can
@@ -282,7 +257,8 @@ pub struct CheckStats {
     /// search.
     pub memo_hit: bool,
     /// `true` if the work-stealing scheduler actually ran for this
-    /// check (as opposed to the sequential or static-prefix paths).
+    /// check (as opposed to the sequential path or the coarse
+    /// per-store-order fan-out).
     /// Gates reporting of [`CheckStats::failed_set`]: all-zero counters
     /// from a real stealing run are still meaningful, while counters
     /// from a path that never touched the set are not.

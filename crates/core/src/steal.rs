@@ -2,12 +2,10 @@
 //!
 //! [`crate::view::find_legal_extension`] answers one view question with a
 //! sequential DFS whose pruning power comes almost entirely from
-//! memoizing *failed* states. The previous parallel engine statically
-//! prefix-partitioned that DFS (`split_prefixes`) and gave every worker a
-//! private memo, so workers re-refuted subtrees their siblings had
-//! already killed — on memo-heavy "deep funnel" shapes the static split
-//! does strictly *more* total work than the sequential search. This
-//! module replaces it with two pieces:
+//! memoizing *failed* states. Splitting that DFS across workers only pays
+//! if the workers share those refutations; otherwise each re-refutes
+//! subtrees its siblings already killed. This module is the one engine
+//! that splits a single view search, built from two pieces:
 //!
 //! * [`SharedFailedSet`] — a sharded, open-addressed table of 64-bit
 //!   state fingerprints with bounded memory and per-shard clock

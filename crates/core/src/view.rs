@@ -29,7 +29,6 @@ use crate::kernel::{pack_state, state_hash, Ctx, StateSpace, NO_WRITE};
 use crate::rf::ReadsFrom;
 use smc_history::{History, OpId, Value};
 use smc_relation::{BitSet, Relation};
-use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 /// How read legality is judged during the search.
@@ -230,109 +229,6 @@ fn search_rec(
         f.insert(key_hash, placed, last_write);
     }
     SearchOutcome::NotFound
-}
-
-/// Result of prefix-partitioning a view search for work stealing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PrefixSplit {
-    /// BFS expansion already reached a complete legal extension.
-    Found(Vec<OpId>),
-    /// The frontier emptied: no legal extension exists.
-    NoExtension,
-    /// Schedule prefixes (global op ids) that jointly partition the
-    /// remaining search space: the problem has a legal extension iff some
-    /// prefix extends to one.
-    Split(Vec<Vec<OpId>>),
-}
-
-/// Breadth-first expand the search frontier into at least `target`
-/// schedule prefixes, stopping early on a complete extension or an empty
-/// frontier. Each expansion charges one budget unit, mirroring the DFS
-/// cost of visiting the same node; on budget failure the popped prefix is
-/// pushed back so the returned split still covers the whole space (the
-/// workers then re-report exhaustion under the same shared pool).
-pub fn split_prefixes(p: &ViewProblem<'_>, target: usize, budget: &Budget) -> PrefixSplit {
-    let ctx = Ctx::new(p);
-    let m = ctx.elems.len();
-    let to_global = |prefix: &[usize]| -> Vec<OpId> {
-        prefix.iter().map(|&l| OpId(ctx.elems[l] as u32)).collect()
-    };
-    let mut frontier: VecDeque<Vec<usize>> = VecDeque::new();
-    frontier.push_back(Vec::new());
-    while frontier.len() < target.max(1) {
-        let Some(prefix) = frontier.pop_front() else {
-            return PrefixSplit::NoExtension;
-        };
-        if prefix.len() == m {
-            return PrefixSplit::Found(to_global(&prefix));
-        }
-        if !budget.try_spend() {
-            frontier.push_front(prefix);
-            break;
-        }
-        // Replay the prefix to recover the scheduling state.
-        let mut placed = BitSet::new(m);
-        let mut last_write = vec![NO_WRITE; ctx.num_locs];
-        for &i in &prefix {
-            if ctx.op(i).is_write() {
-                last_write[ctx.op(i).loc.index()] = i as u32;
-            }
-            placed.insert(i);
-        }
-        if ctx.dead(&placed, &last_write) {
-            continue;
-        }
-        let mut cursor = 0;
-        while let Some(i) = ctx.next_ready(&placed, &last_write, cursor) {
-            cursor = i + 1;
-            let mut child = prefix.clone();
-            child.push(i);
-            frontier.push_back(child);
-        }
-        // A prefix with no schedulable successor (and not complete) is
-        // refuted; it simply drops out of the frontier.
-    }
-    if frontier.is_empty() {
-        return PrefixSplit::NoExtension;
-    }
-    PrefixSplit::Split(frontier.iter().map(|pfx| to_global(pfx)).collect())
-}
-
-/// Resume the legal-extension DFS from a schedule prefix produced by
-/// [`split_prefixes`]. A `Found` order includes the prefix.
-pub fn find_legal_extension_from(
-    p: &ViewProblem<'_>,
-    prefix: &[OpId],
-    budget: &Budget,
-) -> SearchOutcome {
-    let ctx = Ctx::new(p);
-    let m = ctx.elems.len();
-    let mut placed = BitSet::new(m);
-    let mut last_write = vec![NO_WRITE; ctx.num_locs];
-    let mut order: Vec<usize> = Vec::with_capacity(m);
-    for &g in prefix {
-        let local = ctx
-            .elems
-            .binary_search(&g.index())
-            .expect("prefix op outside the view's operation set");
-        debug_assert!(ctx.preds[local].is_subset(&placed));
-        debug_assert!(ctx.schedulable(local, &last_write));
-        if ctx.op(local).is_write() {
-            last_write[ctx.op(local).loc.index()] = local as u32;
-        }
-        placed.insert(local);
-        order.push(local);
-    }
-    let mut memo = LocalFailed::new(&ctx);
-    search_rec(
-        &ctx,
-        &mut placed,
-        &mut last_write,
-        &mut order,
-        Some(&mut memo),
-        budget,
-        SearchOptions::default(),
-    )
 }
 
 /// Visit every legal extension of the problem (no failure memoization, so
@@ -570,85 +466,6 @@ mod tests {
         let budget = Budget::local(1_000);
         let end = for_each_legal_extension(&p, &budget, |_| ControlFlow::Break(42));
         assert!(matches!(end, SearchEnd::Broke(42)));
-    }
-
-    #[test]
-    fn split_prefixes_partition_preserves_answer() {
-        // Positive instance: some prefix must extend to a legal view.
-        let h = parse_history("p: w(d)1 w(f)1\nq: r(f)1 r(d)1").unwrap();
-        let po = program_order(&h);
-        let p = ViewProblem {
-            history: &h,
-            ops: all_ops(&h),
-            constraints: &po,
-            legality: LegalityMode::ByValue,
-        };
-        let budget = Budget::local(1_000_000);
-        match split_prefixes(&p, 4, &budget) {
-            PrefixSplit::Split(prefixes) => {
-                assert!(prefixes.len() >= 4);
-                let found: Vec<Vec<OpId>> = prefixes
-                    .iter()
-                    .filter_map(|pfx| match find_legal_extension_from(&p, pfx, &budget) {
-                        SearchOutcome::Found(o) => Some(o),
-                        SearchOutcome::NotFound => None,
-                        SearchOutcome::Exhausted => panic!("unexpected exhaustion"),
-                    })
-                    .collect();
-                assert!(!found.is_empty());
-                for o in found {
-                    assert!(is_legal_sequence(&h, &o));
-                    assert!(po.respects(&o.iter().map(|x| x.index()).collect::<Vec<_>>()));
-                }
-            }
-            PrefixSplit::Found(o) => assert!(is_legal_sequence(&h, &o)),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn split_prefixes_refutation_is_complete() {
-        // Negative instance: every prefix must fail.
-        let h = parse_history("p: w(x)1 r(y)0\nq: w(y)1 r(x)0").unwrap();
-        let po = program_order(&h);
-        let p = ViewProblem {
-            history: &h,
-            ops: all_ops(&h),
-            constraints: &po,
-            legality: LegalityMode::ByValue,
-        };
-        let budget = Budget::local(1_000_000);
-        match split_prefixes(&p, 3, &budget) {
-            PrefixSplit::Split(prefixes) => {
-                for pfx in &prefixes {
-                    assert_eq!(
-                        find_legal_extension_from(&p, pfx, &budget),
-                        SearchOutcome::NotFound
-                    );
-                }
-            }
-            PrefixSplit::NoExtension => {}
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn split_prefixes_finds_complete_order_on_tiny_instance() {
-        let h = parse_history("p: w(x)1").unwrap();
-        let cons = Relation::new(h.num_ops());
-        let p = ViewProblem {
-            history: &h,
-            ops: all_ops(&h),
-            constraints: &cons,
-            legality: LegalityMode::ByValue,
-        };
-        let budget = Budget::local(1_000);
-        // Asking for more prefixes than the tree has leaves pushes BFS all
-        // the way to a complete order.
-        assert_eq!(
-            split_prefixes(&p, 64, &budget),
-            PrefixSplit::Found(vec![OpId(0)])
-        );
     }
 
     #[test]

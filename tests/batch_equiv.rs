@@ -14,6 +14,7 @@ use smc_core::checker::{check_with_config, CheckConfig, Verdict};
 use smc_core::models;
 use smc_core::verify::verify_witness;
 use smc_core::ModelSpec;
+use smc_history::litmus::parse_history;
 use smc_history::{History, HistoryBuilder};
 use smc_prng::SmallRng;
 use smc_programs::corpus::litmus_suite;
@@ -235,14 +236,13 @@ fn cutover_extremes_agree_with_sequential() {
     }
 }
 
-/// The work-stealing scheduler and the static-prefix baseline both match
-/// the sequential checker — same decided verdicts, and witnesses that
-/// verify independently — across every worker count, on the litmus corpus
-/// plus 200 random histories. This is the bit-identical-verdicts gate for
-/// the parallel engine.
+/// The work-stealing parallel engine matches the sequential checker —
+/// same decided verdicts, and witnesses that verify independently —
+/// across every worker count, on the litmus corpus plus 200 random
+/// histories. This is the bit-identical-verdicts gate for the parallel
+/// engine.
 #[test]
-fn schedulers_agree_across_job_counts() {
-    use smc_core::checker::SchedulerKind;
+fn parallel_agrees_across_job_counts() {
     let mut cases: Vec<History> = litmus_suite().iter().map(|t| t.history.clone()).collect();
     cases.extend((1000..1200u64).map(|seed| random_history(&mut SmallRng::seed_from_u64(seed))));
     // The models that exercise all three parallel drivers: the single
@@ -254,32 +254,69 @@ fn schedulers_agree_across_job_counts() {
         models::pram(),
         models::causal(),
     ];
-    for scheduler in [SchedulerKind::WorkStealing, SchedulerKind::StaticPrefix] {
-        let cfg = CheckConfig {
-            scheduler,
-            ..CheckConfig::default()
-        };
-        for (ci, h) in cases.iter().enumerate() {
-            for spec in &model_list {
-                let seq = check_with_config(h, spec, &cfg);
-                for jobs in [1usize, 2, 4, 8] {
-                    let (par, _) = check_parallel(h, spec, &cfg, jobs);
-                    assert_eq!(
-                        par.decided(),
-                        seq.decided(),
-                        "case {ci} {} {scheduler:?} jobs={jobs}: {seq:?} vs {par:?}\n{h}",
-                        spec.name
-                    );
-                    if let Verdict::Allowed(w) = &par {
-                        verify_witness(h, spec, w).unwrap_or_else(|e| {
-                            panic!(
-                                "case {ci} {} {scheduler:?} jobs={jobs}: bad witness: {e}\n{h}",
-                                spec.name
-                            )
-                        });
-                    }
+    let cfg = CheckConfig::default();
+    for (ci, h) in cases.iter().enumerate() {
+        for spec in &model_list {
+            let seq = check_with_config(h, spec, &cfg);
+            for jobs in [1usize, 2, 4, 8] {
+                let (par, _) = check_parallel(h, spec, &cfg, jobs);
+                assert_eq!(
+                    par.decided(),
+                    seq.decided(),
+                    "case {ci} {} jobs={jobs}: {seq:?} vs {par:?}\n{h}",
+                    spec.name
+                );
+                if let Verdict::Allowed(w) = &par {
+                    verify_witness(h, spec, w).unwrap_or_else(|e| {
+                        panic!("case {ci} {} jobs={jobs}: bad witness: {e}\n{h}", spec.name)
+                    });
                 }
             }
         }
     }
+}
+
+/// TSO histories with more (store order × processor) units than the
+/// work-stealing fan-out preprocesses take the coarse one-task-per-store-
+/// order path, and it decides exactly like the sequential checker. Each
+/// history has 3 + 3 + 2 writes on three processors: 8!/(3!·3!·2!) = 560
+/// store orders, so 1680 units, above the 1024-unit stealing cap and well
+/// under `store_order_cap`. The padding writes to `z` multiply the store
+/// orders without touching the verdict: store buffering stays allowed,
+/// message passing stays forbidden.
+#[test]
+fn tso_over_steal_cap_takes_coarse_store_order_path() {
+    let cfg = CheckConfig {
+        parallel_cutover: 0,
+        ..CheckConfig::default()
+    };
+    let tso = models::tso();
+    let over_cap = [
+        "p: w(x)1 w(z)1 w(z)2 r(y)0\nq: w(y)1 w(z)3 w(z)4 r(x)0\nr: w(z)5 w(z)6",
+        "p: w(x)1 w(y)1 w(z)1\nq: r(y)1 r(x)0 w(z)2 w(z)3 w(z)4\nr: w(z)5 w(z)6",
+    ];
+    let mut decided = Vec::new();
+    for text in over_cap {
+        let h = parse_history(text).expect("fixture parses");
+        let seq = check_with_config(&h, &tso, &cfg);
+        decided.push(seq.decided().expect("sequential check decides"));
+        for jobs in [2usize, 4] {
+            let (par, stats) = check_parallel(&h, &tso, &cfg, jobs);
+            assert_eq!(par.decided(), seq.decided(), "jobs={jobs}\n{h}");
+            assert!(
+                !stats.work_stealing_ran,
+                "jobs={jobs}: over-cap history ran the stealing fan-out\n{h}"
+            );
+            if let Verdict::Allowed(w) = &par {
+                verify_witness(&h, &tso, w)
+                    .unwrap_or_else(|e| panic!("jobs={jobs}: bad witness: {e}\n{h}"));
+            }
+        }
+    }
+    assert_eq!(decided, [true, false], "fixtures lost their verdicts");
+    // Control: a history under the cap does run the stealing fan-out, so
+    // the flag above really tells the two paths apart.
+    let small = parse_history("p: w(x)1 r(y)0\nq: w(y)1 r(x)0").expect("fixture parses");
+    let (_, stats) = check_parallel(&small, &tso, &cfg, 2);
+    assert!(stats.work_stealing_ran);
 }

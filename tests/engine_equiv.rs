@@ -248,25 +248,19 @@ fn auto_routing_small_stays_exhaustive() {
 /// (a global store order or per-location coherence) saturate well even
 /// on small traces, while structure-free models (SC, PRAM) pay
 /// saturation overhead without the pruning payoff below ~32 ops and
-/// stay exhaustive there.
+/// stay exhaustive there. Routing is a pure function of the history,
+/// the model and the config, so it is checked without running a search.
 #[test]
 fn auto_routing_cutover_is_model_aware() {
-    // Routing is decided before any search, so a small budget keeps the
-    // exhaustive legs cheap without changing the decision under test.
-    let capped = CheckConfig {
-        node_budget: 20_000,
-        ..CheckConfig::default()
-    };
+    let auto = CheckConfig::default();
     let mid = sc_run(46, 3, 3, 24);
     assert_eq!(mid.num_ops(), 24);
     // 24 ops, structured model (TSO: global write order): saturate.
-    let (_, stats) = check_with_stats(&mid, &models::tso(), &capped);
-    assert_eq!(stats.engine_used, Engine::Saturate);
+    assert_eq!(auto.resolve_engine(&mid, &models::tso()), Engine::Saturate);
     // 24 ops, structure-free models: exhaustive below the higher cutoff.
     for spec in [models::sc(), models::pram()] {
-        let (_, stats) = check_with_stats(&mid, &spec, &capped);
         assert_eq!(
-            stats.engine_used,
+            auto.resolve_engine(&mid, &spec),
             Engine::Exhaustive,
             "{}: structure-free model must stay exhaustive at 24 ops",
             spec.name
@@ -274,8 +268,7 @@ fn auto_routing_cutover_is_model_aware() {
     }
     // Past the structure-free cutoff even SC routes to saturation.
     let big = sc_run(46, 3, 3, 40);
-    let (_, stats) = check_with_stats(&big, &models::sc(), &capped);
-    assert_eq!(stats.engine_used, Engine::Saturate);
+    assert_eq!(auto.resolve_engine(&big, &models::sc()), Engine::Saturate);
 }
 
 #[test]
@@ -291,10 +284,8 @@ fn auto_routing_big_unsupported_stays_exhaustive() {
     // PC has no saturate support: Auto must stay exhaustive even when
     // the history is large.
     let big = sc_run(44, 3, 3, 128);
-    let capped = CheckConfig {
-        node_budget: 50_000,
-        ..CheckConfig::default()
-    };
-    let (_, stats) = check_with_stats(&big, &models::pc(), &capped);
-    assert_eq!(stats.engine_used, Engine::Exhaustive);
+    assert_eq!(
+        CheckConfig::default().resolve_engine(&big, &models::pc()),
+        Engine::Exhaustive
+    );
 }

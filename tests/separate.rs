@@ -3,7 +3,7 @@
 //! universes, and every witness it reports must be checkable, litmus
 //! round-trippable, and op-deletion minimal.
 
-use smc_core::checker::{check_with_stats, CheckConfig, SchedulerKind};
+use smc_core::checker::{check_with_stats, CheckConfig};
 use smc_core::histgen::GenParams;
 use smc_core::separate::{separate, without_op, DirectionStatus, SeparationWitness};
 use smc_core::{models, ModelSpec};
@@ -19,28 +19,23 @@ fn gp(procs: usize, ops: usize, locs: usize, values: i64) -> GenParams {
 }
 
 /// The witness must be admitted by one model and refuted by the other,
-/// under both schedulers, and it must survive a litmus round trip.
+/// and it must survive a litmus round trip.
 fn assert_separates(w: &SeparationWitness, admits: &ModelSpec, refutes: &ModelSpec) {
-    for scheduler in [SchedulerKind::WorkStealing, SchedulerKind::StaticPrefix] {
-        let cfg = CheckConfig {
-            scheduler,
-            ..CheckConfig::default()
-        };
-        let (va, _) = check_with_stats(&w.history, admits, &cfg);
-        let (vr, _) = check_with_stats(&w.history, refutes, &cfg);
-        assert!(
-            va.is_allowed(),
-            "{} must admit ({scheduler:?}):\n{}",
-            admits.name,
-            w.history
-        );
-        assert!(
-            vr.is_disallowed(),
-            "{} must refute ({scheduler:?}):\n{}",
-            refutes.name,
-            w.history
-        );
-    }
+    let cfg = CheckConfig::default();
+    let (va, _) = check_with_stats(&w.history, admits, &cfg);
+    let (vr, _) = check_with_stats(&w.history, refutes, &cfg);
+    assert!(
+        va.is_allowed(),
+        "{} must admit:\n{}",
+        admits.name,
+        w.history
+    );
+    assert!(
+        vr.is_disallowed(),
+        "{} must refute:\n{}",
+        refutes.name,
+        w.history
+    );
     let back = parse_history(&emit_litmus(&w.history)).expect("witness parses back");
     assert_eq!(back, w.history, "litmus round trip changed the witness");
 }
