@@ -19,150 +19,229 @@ use smc_sim::{
 };
 use std::process::ExitCode;
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
-usage:
-  smc check <file> [--model NAME] [--jobs N] [--stats]
-            [--memo-file PATH] [--cutover N]
-            [--engine exhaustive|saturate|auto]
-                                    check a litmus history or suite;
-                                    --memo-file persists decided verdicts
-                                    across runs (corrupt or mismatched
-                                    files are ignored with a warning)
-  smc corpus [--jobs N] [--stats] [--json PATH] [--exhaustive]
-            [--engine-equiv] [--memo-file PATH] [--cutover N]
-            [--engine exhaustive|saturate|auto]
-                                    check the embedded litmus corpus
-                                    against its recorded expectations;
-                                    --json writes machine-readable per-case
-                                    stats + memo counters; --exhaustive
-                                    sweeps the full small-history universe
-                                    instead (Figure 5 models, with memoized
-                                    + lattice-propagated verdicts);
-                                    --engine-equiv runs both engines on
-                                    every saturate-supporting model and
-                                    exits nonzero on any divergence
-  smc matrix <file> [--jobs N] [--stats] [--cutover N]
-            [--memo-file PATH] [--engine exhaustive|saturate|auto]
-                                    classification matrix for a suite
-  smc explore <file> --memory NAME [--check] [--model NAME] [--jobs N]
-                                    enumerate every history a machine
-                                    produces for the file's program shape;
-                                    --check classifies each history
-  smc bakery [--memory NAME] [--n N] [--runs R] [--show-program]
-                                    run the Bakery algorithm (default rcpc)
-  smc separate <model-a> <model-b> [--jobs N] [--max-universe SPEC]
-            [--json PATH] [--memo-file PATH] [--emit-dir DIR]
-            [--no-minimize] [--cutover N]
-            [--engine exhaustive|saturate|auto]
-                                    search universes of increasing size for
-                                    minimized witness histories one model
-                                    admits and the other refutes;
-                                    --max-universe is small|medium|large or
-                                    an explicit PxOxLxV cap like 3x2x2x2
-                                    (default medium); --emit-dir writes
-                                    each witness as a litmus test file
-  smc separate --all [...]          sweep every unlabeled model pair and
-                                    report the full witness table
-  smc monitor [<file>|-] [--model NAME] [--jobs N] [--stats]
-            [--json PATH] [--max-states N] [--batch N] [--cutover N]
-            [--memo-file PATH] [--engine exhaustive|saturate|auto]
-            [--window N] [--checkpoint-file PATH] [--restore-from PATH]
-                                    stream a trace (stdin when `-` or no
-                                    file) through the incremental admission
-                                    monitor; malformed lines warn with
-                                    their byte offset and are skipped
-                                    (counted in --stats/--json); --batch N
-                                    feeds N events per monitor step;
-                                    `join p`/`retire p` lines move
-                                    processors in and out of the active
-                                    set (retired processors fold into a
-                                    summarized prefix); `@sid`-prefixed
-                                    lines replay a multi-session stream,
-                                    one monitor per session (warnings
-                                    then name the session); --window N
-                                    seals the decided prefix every N
-                                    events to bound frontier memory;
-                                    --checkpoint-file saves the monitor
-                                    state at end of input and
-                                    --restore-from resumes warm from
-                                    such a file (same models required;
-                                    cap and window are inherited unless
-                                    overridden); exits nonzero if
-                                    any model's final verdict is
-                                    violated
-  smc monitor --corpus [--jobs N] [--json PATH]
-                                    replay every embedded litmus history
-                                    through the monitor event-by-event and
-                                    diff the final verdicts against the
-                                    batch checker (the monitor golden gate)
-  smc serve [--listen ADDR] [--workers N] [--max-sessions N]
-            [--max-conns N] [--queue N] [--model NAME] [--jobs N]
-            [--max-states N] [--window N] [--evict-dir DIR]
-                                    run the multi-session streaming
-                                    admission server: line-oriented TCP
-                                    (OPEN/EV/QUERY/CLOSE, `@sid <event>`
-                                    shorthand), one incremental monitor
-                                    per session, bounded per-session
-                                    queues (BUSY backpressure), verdicts
-                                    on QUERY; SNAPSHOT/RESUME checkpoint
-                                    a session to a file and resume it
-                                    warm; --evict-dir spills the least
-                                    recently active idle session to disk
-                                    instead of refusing OPEN when
-                                    --max-sessions is reached (evicted
-                                    sessions resume transparently on
-                                    next use); --window N bounds each
-                                    session's frontier memory; stops on
-                                    SHUTDOWN
-  smc serve --bench [--sessions N] [--events N] [--conns C]
-            [--query-every K] [--memory NAME] [--seed S] [--json PATH]
-                                    start an ephemeral server, drive it
-                                    with the in-tree load generator over
-                                    loopback, diff every final verdict
-                                    against the offline monitor, and
-                                    report sustained events/sec + QUERY
-                                    latency percentiles
-  smc loadgen --addr HOST:PORT [--sessions N] [--events N] [--conns C]
-            [--query-every K] [--memory NAME] [--seed S] [--verify]
-            [--max-states N] [--shutdown] [--json PATH]
-                                    drive a running `smc serve` with
-                                    generated multi-session traffic;
-                                    --verify diffs final verdicts
-                                    against the offline monitor,
-                                    --shutdown stops the server after
-  smc trace gen [--memory NAME] [--procs N] [--ops N | --events N]
-            [--locs L] [--values V | --alias-values K] [--seed S]
-            [--sessions N] [--churn K] [--out PATH]
-                                    run a random program on an operational
-                                    machine and emit its arrival-order
-                                    event stream in the trace format;
-                                    --ops sizes per processor, --events
-                                    fixes the total event count (the
-                                    stream is cut to exactly N events);
-                                    --alias-values folds fresh write
-                                    values into a K-letter alphabet so
-                                    reads-from stays heavily ambiguous;
-                                    --sessions N interleaves N
-                                    independent streams with @sid
-                                    prefixes (the `smc serve` format);
-                                    --churn K runs K+1 processor
-                                    generations joined and retired over
-                                    one stream (`join`/`retire` lines,
-                                    for the monitor's churn folding)
-  smc trace from <file> [--test NAME] [--out PATH]
-                                    linearize a litmus history into the
-                                    trace format (processor-major order)
-  smc models                        list available models and machines
+/// One command-line flag, declared as `--name [META]: one-line help`;
+/// a flag without a `META` is a switch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Flag(&'static str);
+
+impl Flag {
+    /// `--name [META]` and the help.
+    fn split(self) -> (&'static str, &'static str) {
+        self.0
+            .split_once(": ")
+            .expect("flag is `--name [META]: help`")
+    }
+
+    fn name(self) -> &'static str {
+        self.split().0.split(' ').next().unwrap_or_default()
+    }
+
+    fn takes_value(self) -> bool {
+        self.split().0.contains(' ')
+    }
+}
+
+const JOBS: Flag = Flag("--jobs N: worker threads (default 1)");
+const CUTOVER: Flag = Flag("--cutover N: sequential probe budget before fan-out (default 4096)");
+const ENGINE: Flag = Flag("--engine exhaustive|saturate|auto: checking backend (default auto)");
+const MEMO_FILE: Flag = Flag("--memo-file PATH: keep decided verdicts across runs");
+/// The checking flags, read by [`check_config`].
+const CHECKING: &[Flag] = &[JOBS, CUTOVER, ENGINE, MEMO_FILE];
+const MODEL: Flag = Flag("--model NAME: only this model (default all; see `smc models`)");
+const STATS: Flag = Flag("--stats: print search statistics");
+const JSON: Flag = Flag("--json PATH: write machine-readable JSON lines to PATH");
+const MEMORY: Flag = Flag("--memory NAME: operational machine (listed by `smc models`)");
+const CHECK: Flag = Flag("--check: classify every explored history against the models");
+const BAKERY_N: Flag = Flag("--n N: processes (default 2)");
+const RUNS: Flag = Flag("--runs R: seeded random runs (default 1000)");
+const SHOW_PROGRAM: Flag = Flag("--show-program: print the program first");
+const ALL: Flag = Flag("--all: sweep every unlabeled model pair");
+const MAX_UNIVERSE: Flag = Flag("--max-universe SPEC: small|medium|large or a PxOxLxV cap");
+const EMIT_DIR: Flag = Flag("--emit-dir DIR: write each separated pair as a litmus file");
+const NO_MINIMIZE: Flag = Flag("--no-minimize: report witnesses as found, unshrunk");
+const MAX_STATES: Flag = Flag("--max-states N: frontier states per engine before rechecks");
+const WINDOW: Flag = Flag("--window N: seal the decided prefix every N events (0: off)");
+const BATCH: Flag = Flag("--batch N: events fed per monitor step (default 1)");
+const CHECKPOINT_FILE: Flag = Flag("--checkpoint-file PATH: save the monitor at end of input");
+const RESTORE_FROM: Flag = Flag("--restore-from PATH: resume from a checkpoint file");
+const LISTEN: Flag = Flag("--listen ADDR: address to bind (default 127.0.0.1:0)");
+const WORKERS: Flag = Flag("--workers N: drain worker threads");
+const MAX_SESSIONS: Flag = Flag("--max-sessions N: live session cap (default 4096)");
+const MAX_CONNS: Flag = Flag("--max-conns N: connection cap (default 256)");
+const QUEUE: Flag = Flag("--queue N: per-session inbox bound in events (default 1024)");
+const EVICT_DIR: Flag = Flag("--evict-dir DIR: spill idle sessions here when full");
+/// Server tuning and each session's monitor, read by [`serve_config`].
+const SERVER: &[Flag] = &[WORKERS, MAX_SESSIONS, MAX_CONNS, QUEUE, EVICT_DIR];
+const SESSION: &[Flag] = &[MODEL, JOBS, MAX_STATES, WINDOW];
+const SESSIONS: Flag = Flag("--sessions N: independent @sid streams (load default 1024)");
+const CONNS: Flag = Flag("--conns C: client connections (default 8)");
+const QUERY_EVERY: Flag = Flag("--query-every K: QUERY each session every K events (default 32)");
+/// Load-generator shape, read by [`loadgen_config`].
+const LOADGEN: &[Flag] = &[SESSIONS, CONNS, QUERY_EVERY];
+const ADDR: Flag = Flag("--addr HOST:PORT: the running server");
+const VERIFY: Flag = Flag("--verify: diff final verdicts against the offline monitor");
+const SHUTDOWN: Flag = Flag("--shutdown: stop the server afterwards");
+const PROCS: Flag = Flag("--procs N: processors (default 3)");
+const EVENTS: Flag = Flag("--events N: events per stream, cut exactly (load default 64)");
+const LOCS: Flag = Flag("--locs L: locations (default 2)");
+const VALUES: Flag = Flag("--values V: write values drawn from 1..=V (default 2)");
+const ALIAS_VALUES: Flag = Flag("--alias-values K: fold fresh write values into K letters");
+const SEED: Flag = Flag("--seed S: random seed (default 0)");
+/// Random-trace generation, read by [`GenSpec::from_args`].
+const GEN: &[Flag] = &[MEMORY, PROCS, EVENTS, LOCS, VALUES, ALIAS_VALUES, SEED];
+const OPS: Flag = Flag("--ops N: operations per processor (default 4)");
+const CHURN: Flag = Flag("--churn K: K+1 processor generations joined and retired");
+const OUT: Flag = Flag("--out PATH: write to PATH instead of stdout");
+const TEST: Flag = Flag("--test NAME: the suite's test to emit (default the first)");
+
+/// One command, or one mode of a command that reads its own flags.
+struct Cmd {
+    /// The synopsis head: command words, then a `--mode` switch that
+    /// selects this entry wherever it appears, then positionals.
+    usage: &'static str,
+    flags: &'static [&'static [Flag]],
+    run: fn(&Args) -> Result<ExitCode, String>,
+    about: &'static str,
+}
+
+/// Every command. A command's modes follow its plain entry.
+const COMMANDS: &[Cmd] = &[
+    Cmd {
+        usage: "check <file>",
+        flags: &[&[MODEL, STATS], CHECKING],
+        run: cmd_check,
+        about: "check a litmus history or suite; with one model, also print\n\
+                its witness views or a cycle certificate",
+    },
+    Cmd {
+        usage: "corpus",
+        flags: &[&[STATS, JSON], CHECKING],
+        run: cmd_corpus,
+        about: "check the embedded litmus corpus against its expectations",
+    },
+    Cmd {
+        usage: "corpus --exhaustive",
+        flags: &[&[JOBS, CUTOVER, STATS, JSON]],
+        run: corpus_exhaustive,
+        about: "classify every 2x2x2x1 history against the Figure 5 models\n\
+                (memoized, lattice-propagated verdicts)",
+    },
+    Cmd {
+        usage: "corpus --engine-equiv",
+        flags: &[&[JOBS, CUTOVER, JSON]],
+        run: corpus_engine_equiv,
+        about: "run both engines on every saturate-supporting model and\n\
+                exit nonzero on any divergence",
+    },
+    Cmd {
+        usage: "matrix <file>",
+        flags: &[&[STATS], CHECKING],
+        run: cmd_matrix,
+        about: "classification matrix for a suite",
+    },
+    Cmd {
+        usage: "explore <file>",
+        flags: &[&[MEMORY, CHECK, MODEL, JOBS]],
+        run: cmd_explore,
+        about: "enumerate every history machine --memory (required) produces\n\
+                for the file's program shape",
+    },
+    Cmd {
+        usage: "bakery",
+        flags: &[&[MEMORY, BAKERY_N, RUNS, SHOW_PROGRAM]],
+        run: cmd_bakery,
+        about: "run the Bakery algorithm on sc, tso, rcsc, rcpc (default), wo\n\
+                or hybrid",
+    },
+    Cmd {
+        usage: "separate <model-a> <model-b>",
+        flags: &[&[ALL, MAX_UNIVERSE, JSON, EMIT_DIR, NO_MINIMIZE], CHECKING],
+        run: cmd_separate,
+        about: "search universes of increasing size (up to --max-universe,\n\
+                default medium) for minimized witness histories one model\n\
+                admits and the other refutes",
+    },
+    Cmd {
+        usage: "monitor [<file>|-]",
+        flags: &[
+            &[MODEL, STATS, JSON, MAX_STATES, BATCH, WINDOW],
+            &[CHECKPOINT_FILE, RESTORE_FROM],
+            CHECKING,
+        ],
+        run: cmd_monitor,
+        about: "stream a trace (stdin when `-` or no file) through the\n\
+                incremental admission monitor; malformed lines warn with\n\
+                their byte offset and are skipped; `join p`/`retire p` lines\n\
+                move processors in and out; `@sid` lines replay one monitor\n\
+                per session; a restore inherits the checkpoint's cap and\n\
+                window unless given; exits nonzero if any model ends violated",
+    },
+    Cmd {
+        usage: "monitor --corpus",
+        flags: &[&[JOBS, JSON]],
+        run: monitor_corpus,
+        about: "replay every embedded litmus history through the monitor and\n\
+                diff the final verdicts against the batch checker",
+    },
+    Cmd {
+        usage: "serve",
+        flags: &[&[LISTEN], SERVER, SESSION],
+        run: cmd_serve,
+        about: "run the multi-session admission server: line-oriented TCP\n\
+                (OPEN/EV/QUERY/CLOSE, `@sid <event>` shorthand, BUSY\n\
+                backpressure, SNAPSHOT/RESUME); stops on SHUTDOWN",
+    },
+    Cmd {
+        usage: "serve --bench",
+        flags: &[SERVER, SESSION, LOADGEN, GEN, &[JSON]],
+        run: serve_bench,
+        about: "drive an ephemeral server with the load generator over\n\
+                loopback, verify every verdict against the offline monitor,\n\
+                and report events/sec and QUERY latency percentiles",
+    },
+    Cmd {
+        usage: "loadgen",
+        flags: &[
+            &[ADDR],
+            LOADGEN,
+            GEN,
+            &[MODEL, MAX_STATES, VERIFY, SHUTDOWN, JSON],
+        ],
+        run: cmd_loadgen,
+        about: "drive a running `smc serve` (--addr, required) with generated\n\
+                multi-session traffic",
+    },
+    Cmd {
+        usage: "trace gen",
+        flags: &[GEN, &[OPS, SESSIONS, CHURN, OUT]],
+        run: trace_gen,
+        about: "run a random program on an operational machine (default tso)\n\
+                and emit its arrival-order event stream",
+    },
+    Cmd {
+        usage: "trace from <file>",
+        flags: &[&[TEST, OUT]],
+        run: trace_from,
+        about: "linearize a litmus history into the trace format",
+    },
+    Cmd {
+        usage: "models",
+        flags: &[],
+        run: cmd_models,
+        about: "list available models and machines",
+    },
+];
+
+/// The notes `smc help` prints after the commands.
+const NOTES: &str = "\
+Every command rejects a --flag it does not list, a flag given twice,
+a value flag without its value, and more positional arguments than its
+usage names.
 
 --jobs N runs checks on N worker threads (default 1; results are
 reported in the same order as sequential checking). With more workers
 than (history, model) pairs, the workers move inside each check: the
 work-stealing scheduler splits the extension search itself.
-
-Commands that take a file or other positional arguments (check,
-matrix, explore, separate, monitor, trace) reject any --flag they do
-not list above.
 
 --cutover N bounds the sequential probe a parallel check (--jobs > 1)
 runs before spawning workers: if the probe decides within N search
@@ -177,37 +256,323 @@ when the model is supported and the history is big enough to repay it
 (more than 16 operations for models with a global store order or
 coherence, more than 32 for structure-free models like SC and PRAM),
 else stays exhaustive.
+";
 
-memories for --memory: sc tso tso-fwd pram causal pc coherent rcsc rcpc wo hybrid";
+impl Cmd {
+    /// The command words and mode switch, without positionals.
+    fn name(&self) -> &'static str {
+        let end =
+            (self.usage.find(" <").or_else(|| self.usage.find(" ["))).unwrap_or(self.usage.len());
+        &self.usage[..end]
+    }
 
-/// Dispatch on the first argument.
-pub fn run(args: &[String]) -> Result<ExitCode, String> {
-    match args.first().map(String::as_str) {
-        Some("check") => cmd_check(&args[1..]),
-        Some("corpus") => cmd_corpus(&args[1..]),
-        Some("matrix") => cmd_matrix(&args[1..]),
-        Some("explore") => cmd_explore(&args[1..]),
-        Some("bakery") => cmd_bakery(&args[1..]),
-        Some("separate") => cmd_separate(&args[1..]),
-        Some("monitor") => cmd_monitor(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("models") => cmd_models(),
-        Some("help") | Some("--help") | Some("-h") => {
-            println!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
+    fn word(&self) -> &'static str {
+        self.usage.split(' ').next().unwrap_or_default()
+    }
+
+    fn flags(&self) -> impl Iterator<Item = Flag> {
+        self.flags.iter().flat_map(|group| group.iter().copied())
+    }
+
+    fn flag(&self, name: &str) -> Option<Flag> {
+        self.flags().find(|f| f.name() == name)
+    }
+
+    /// `smc <usage> [--flag META]...` wrapped at 76 columns, then the
+    /// about text and, with `flag_help`, one line per flag.
+    fn help(&self, flag_help: bool) -> String {
+        let mut out = format!("  smc {}", self.usage);
+        for f in self.flags() {
+            let item = format!(" [{}]", f.split().0);
+            if out.len() - out.rfind('\n').map_or(0, |i| i + 1) + item.len() > 76 {
+                out.push_str("\n       ");
+            }
+            out.push_str(&item);
         }
-        Some(other) => Err(format!("unknown subcommand `{other}`")),
-        None => Err("missing subcommand".into()),
+        for line in self.about.lines() {
+            out.push_str(&format!("\n      {}", line.trim_start()));
+        }
+        for (head, help) in self.flags().filter(|_| flag_help).map(Flag::split) {
+            out.push_str(&format!("\n        {head:<22}  {help}"));
+        }
+        out.push('\n');
+        out
     }
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The full `smc help` text.
+pub fn usage() -> String {
+    let commands: String = COMMANDS.iter().map(|c| c.help(false)).collect();
+    format!(
+        "usage: smc <command> ...  (`smc <command> --help` lists its flags)\n\n\
+         {commands}\n{NOTES}\nmemories for --memory: {}\n",
+        MACHINES.join(" ")
+    )
+}
+
+/// The help for the command `args` names, with one line per flag (all
+/// of its modes), or the full usage if it names none.
+pub fn usage_for(args: &[String]) -> String {
+    let word = args.first().map_or("", String::as_str);
+    let entries: String = (COMMANDS.iter().filter(|c| c.word() == word))
+        .map(|c| c.help(true))
+        .collect();
+    if entries.is_empty() {
+        usage()
+    } else {
+        format!("usage:\n{entries}")
+    }
+}
+
+/// Dispatch on the first argument.
+pub fn run(args: &[String]) -> Result<ExitCode, String> {
+    let help = match args.first().map(String::as_str) {
+        Some("help" | "--help" | "-h") => usage(),
+        Some(word)
+            if COMMANDS.iter().any(|c| c.word() == word) && args.contains(&"--help".into()) =>
+        {
+            usage_for(args)
+        }
+        _ => {
+            let (cmd, rest) = select(args)?;
+            return (cmd.run)(&parse(cmd, rest)?);
+        }
+    };
+    print!("{help}");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The entry `args` selects, and the arguments after its command words.
+fn select(args: &[String]) -> Result<(&'static Cmd, &[String]), String> {
+    let word = args.first().ok_or("missing subcommand")?;
+    let mut plain = None;
+    for cmd in COMMANDS.iter().filter(|c| c.word() == word) {
+        match cmd.name().split(' ').nth(1) {
+            None => plain = plain.or(Some((cmd, &args[1..]))),
+            Some(mode) if mode.starts_with("--") => {
+                if args[1..].iter().any(|a| a == mode) {
+                    return Ok((cmd, &args[1..]));
+                }
+            }
+            Some(sub) if args.get(1).is_some_and(|a| a == sub) => return Ok((cmd, &args[2..])),
+            Some(_) => {}
+        }
+    }
+    plain.ok_or_else(|| {
+        let subs: Vec<String> = COMMANDS
+            .iter()
+            .filter(|c| c.word() == word)
+            .map(|c| format!("`{}`", c.usage[word.len()..].trim_start()))
+            .collect();
+        if subs.is_empty() {
+            format!("unknown subcommand `{word}`")
+        } else {
+            format!("{word}: expected {}", subs.join(" or "))
+        }
+    })
+}
+
+/// A command line split against its command's flag table.
+struct Args<'a> {
+    cmd: &'static Cmd,
+    pos: Vec<&'a str>,
+    /// Each flag given, with its value (`None` for a switch).
+    given: Vec<(&'static str, Option<&'a str>)>,
+}
+
+/// Split `args` into positionals and the flags of `cmd`'s table. An
+/// undeclared flag, a value flag without a value (at the end, or before
+/// another `--flag`) and a repeated flag are errors naming the flag; so
+/// is a positional beyond those the usage names.
+fn parse<'a>(cmd: &'static Cmd, args: &'a [String]) -> Result<Args<'a>, String> {
+    let name = cmd.name();
+    let mut out = Args {
+        cmd,
+        pos: Vec::new(),
+        given: Vec::new(),
+    };
+    let mut words = args.iter().map(String::as_str).peekable();
+    while let Some(a) = words.next() {
+        if !a.starts_with("--") {
+            out.pos.push(a);
+            continue;
+        }
+        if name.split(' ').any(|w| w == a) {
+            continue;
+        }
+        let flag = cmd
+            .flag(a)
+            .ok_or_else(|| format!("{name}: unknown flag `{a}`"))?;
+        if out.given.iter().any(|(n, _)| *n == flag.name()) {
+            return Err(format!("{name}: {a} given twice"));
+        }
+        let value = words.next_if(|_| flag.takes_value());
+        if flag.takes_value() && value.is_none_or(|v| v.starts_with("--")) {
+            return Err(format!("{name}: {a} requires a value"));
+        }
+        out.given.push((flag.name(), value));
+    }
+    // The usage names one `<placeholder>` per positional it takes.
+    if let Some(p) = out.pos.get(cmd.usage.matches('<').count()) {
+        return Err(format!("{name}: unexpected argument `{p}`"));
+    }
+    Ok(out)
+}
+
+impl<'a> Args<'a> {
+    /// Whether `name` was given and its value. Asking for a flag the
+    /// command does not declare is a bug, so it panics.
+    fn get(&self, name: &str) -> Option<Option<&'a str>> {
+        assert!(
+            self.cmd.flag(name).is_some(),
+            "`{}` reads {name}, which its flag table does not declare",
+            self.cmd.name()
+        );
+        self.given.iter().find(|(n, _)| *n == name).map(|g| g.1)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    fn str(&self, name: &str) -> Option<&'a str> {
+        self.get(name).flatten()
+    }
+
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.str(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("{name}: `{v}` is not a valid number")),
+        }
+    }
+
+    /// `--name N` with N at least 1, if given.
+    fn positive<T>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T: std::str::FromStr + PartialOrd + From<u8>,
+    {
+        self.str(name)
+            .map(|v| {
+                v.parse()
+                    .ok()
+                    .filter(|n| *n >= T::from(1))
+                    .ok_or_else(|| format!("{name}: `{v}` is not a positive integer"))
+            })
+            .transpose()
+    }
+}
+
+/// `--jobs N` (default 1 = sequential).
+fn jobs(a: &Args) -> Result<usize, String> {
+    Ok(a.positive("--jobs")?.unwrap_or(1))
+}
+
+/// `cfg` with the [`CHECKING`] flags applied. `--memo-file` attaches a
+/// memo cache if `cfg` has none; [`memo_file_load`] fills it.
+fn check_config(a: &Args, mut cfg: CheckConfig) -> Result<CheckConfig, String> {
+    cfg.parallel_cutover = a.num("--cutover", cfg.parallel_cutover)?;
+    cfg.engine = match a.str("--engine") {
+        None | Some("auto") => EngineKind::Auto,
+        Some("exhaustive") => EngineKind::Exhaustive,
+        Some("saturate") => EngineKind::Saturate,
+        Some(other) => {
+            return Err(format!(
+                "--engine: `{other}` is not `exhaustive`, `saturate` or `auto`"
+            ))
+        }
+    };
+    if cfg.memo.is_none() && a.has("--memo-file") {
+        cfg = cfg.with_memo();
+    }
+    Ok(cfg)
+}
+
+/// The operational machines, by `--memory` name.
+const MACHINES: [&str; 11] = [
+    "sc", "tso", "tso-fwd", "pram", "causal", "pc", "coherent", "rcsc", "rcpc", "wo", "hybrid",
+];
+
+/// A computation over one operational machine type, which
+/// [`with_machine`] picks by name.
+trait MachineFn {
+    type Out;
+    /// Run with `make`, which builds a fresh machine on every call.
+    fn call<M: MemorySystem>(self, make: impl Fn() -> M) -> Self::Out;
+}
+
+/// Run `f` on the machine named `name` (one of [`MACHINES`]) with `n`
+/// processors and `l` locations.
+fn with_machine<F: MachineFn>(name: &str, n: usize, l: usize, f: F) -> Result<F::Out, String> {
+    Ok(match name {
+        "sc" => f.call(|| ScMem::new(n, l)),
+        "tso" => f.call(|| TsoMem::new(n, l)),
+        "tso-fwd" => f.call(|| TsoMem::with_forwarding(n, l)),
+        "pram" => f.call(|| PramMem::new(n, l)),
+        "causal" => f.call(|| CausalMem::new(n, l)),
+        "pc" => f.call(|| PcMem::new(n, l)),
+        "coherent" => f.call(|| CoherentMem::new(n, l)),
+        "rcsc" => f.call(|| RcMem::new(SyncMode::Sc, n, l)),
+        "rcpc" => f.call(|| RcMem::new(SyncMode::Pc, n, l)),
+        "wo" => f.call(|| WoMem::new(n, l)),
+        "hybrid" => f.call(|| HybridMem::new(n, l)),
+        other => return Err(format!("unknown memory `{other}`")),
+    })
+}
+
+/// `--model NAME` as a one-model list, or `default()` when it is absent
+/// or `all`.
+fn select_models(
+    selector: Option<&str>,
+    default: fn() -> Vec<ModelSpec>,
+) -> Result<Vec<ModelSpec>, String> {
+    match selector {
+        None | Some("all") => Ok(default()),
+        Some(name) => models::by_name(name)
+            .map(|m| vec![m])
+            .ok_or_else(|| format!("unknown model `{name}` (try `smc models`)")),
+    }
+}
+
+fn write_json_lines(path: &str, lines: &[String]) -> Result<(), String> {
+    let mut text = lines.join("\n");
+    text.push('\n');
+    std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))
+}
+
+/// The ` [N jobs]` tail of a summary line (empty when sequential).
+fn jobs_suffix(jobs: usize) -> String {
+    if jobs > 1 {
+        format!(" [{jobs} jobs]")
+    } else {
+        String::new()
+    }
+}
+
+fn memo_line(s: &MemoStats) -> String {
+    format!(
+        "memo: {} hits, {} misses, {} inserts, {} evictions",
+        s.hits, s.misses, s.inserts, s.evictions
+    )
+}
+
+/// A verdict as a matrix cell.
+fn cell(v: &Verdict) -> &'static str {
+    match v {
+        Verdict::Allowed(_) => "yes",
+        Verdict::Disallowed => "no",
+        Verdict::Exhausted => "?",
+        Verdict::Unsupported(_) => "n/a",
+    }
+}
+
+fn exit_status(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 fn read_file(path: &str) -> Result<String, String> {
@@ -232,28 +597,6 @@ fn load(path: &str) -> Result<Vec<LitmusTest>, String> {
             history,
             expectations: Vec::new(),
         }])
-    }
-}
-
-fn resolve_models(selector: Option<&str>) -> Result<Vec<ModelSpec>, String> {
-    match selector {
-        None | Some("all") => Ok(models::all_models()),
-        Some(name) => models::by_name(name)
-            .map(|m| vec![m])
-            .ok_or_else(|| format!("unknown model `{name}` (try `smc models`)")),
-    }
-}
-
-/// Parse `--jobs N` (default 1 = sequential).
-fn jobs_flag(args: &[String]) -> Result<usize, String> {
-    match flag_value(args, "--jobs") {
-        None if args.iter().any(|a| a == "--jobs") => Err("--jobs requires a value".to_string()),
-        None => Ok(1),
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("--jobs: `{v}` is not a positive integer")),
     }
 }
 
@@ -349,80 +692,11 @@ fn check_suite(
     check_batch(&pairs, cfg, jobs)
 }
 
-/// Parse `--cutover N` (default: `CheckConfig`'s probe budget). 0 means
-/// parallel checks fan out immediately, skipping the sequential probe.
-fn cutover_flag(args: &[String], default: u64) -> Result<u64, String> {
-    match flag_value(args, "--cutover") {
-        None if args.iter().any(|a| a == "--cutover") => {
-            Err("--cutover requires a value".to_string())
-        }
-        None => Ok(default),
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| format!("--cutover: `{v}` is not a non-negative integer")),
-    }
-}
-
-/// Parse `--engine exhaustive|saturate|auto` (default auto).
-fn engine_flag(args: &[String]) -> Result<EngineKind, String> {
-    match flag_value(args, "--engine") {
-        None if args.iter().any(|a| a == "--engine") => Err("--engine requires a value".into()),
-        None | Some("auto") => Ok(EngineKind::Auto),
-        Some("exhaustive") => Ok(EngineKind::Exhaustive),
-        Some("saturate") => Ok(EngineKind::Saturate),
-        Some(other) => Err(format!(
-            "--engine: `{other}` is not `exhaustive`, `saturate` or `auto`"
-        )),
-    }
-}
-
-/// The checking flags every checking subcommand (`check`, `corpus`,
-/// `matrix`, `separate`, `monitor`) accepts. Parsed in one place so the
-/// commands cannot drift apart in spelling, defaults or error messages.
-struct CheckFlags {
-    jobs: usize,
-    cutover: u64,
-    engine: EngineKind,
-    memo_file: Option<String>,
-}
-
-impl CheckFlags {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        Ok(CheckFlags {
-            jobs: jobs_flag(args)?,
-            cutover: cutover_flag(args, CheckConfig::default().parallel_cutover)?,
-            engine: engine_flag(args)?,
-            memo_file: flag_value(args, "--memo-file").map(str::to_owned),
-        })
-    }
-
-    /// Copy the parsed flags into a config (memo attachment stays the
-    /// caller's decision — see [`CheckFlags::with_memo_if_requested`]).
-    fn configure(&self, cfg: &mut CheckConfig) {
-        cfg.parallel_cutover = self.cutover;
-        cfg.engine = self.engine;
-    }
-
-    /// Attach a memo cache when `--memo-file` was given (commands that
-    /// always memoize call `.with_memo()` themselves).
-    fn with_memo_if_requested(&self, cfg: CheckConfig) -> CheckConfig {
-        if self.memo_file.is_some() {
-            cfg.with_memo()
-        } else {
-            cfg
-        }
-    }
-
-    fn memo_file(&self) -> Option<&str> {
-        self.memo_file.as_deref()
-    }
-}
-
 /// Load `--memo-file` into `cfg`'s cache if the flag is present. A
 /// missing file is a cold start; a corrupt or mismatched file is ignored
 /// with a warning — persistence must never fail a check.
-fn memo_file_load(cfg: &CheckConfig, path: Option<&str>) {
-    let (Some(path), Some(memo)) = (path, &cfg.memo) else {
+fn memo_file_load(cfg: &CheckConfig, a: &Args) {
+    let (Some(path), Some(memo)) = (a.str("--memo-file"), &cfg.memo) else {
         return;
     };
     if !std::path::Path::new(path).exists() {
@@ -435,8 +709,8 @@ fn memo_file_load(cfg: &CheckConfig, path: Option<&str>) {
 }
 
 /// Save `cfg`'s cache back to `--memo-file`, if the flag is present.
-fn memo_file_save(cfg: &CheckConfig, path: Option<&str>) {
-    let (Some(path), Some(memo)) = (path, &cfg.memo) else {
+fn memo_file_save(cfg: &CheckConfig, a: &Args) {
+    let (Some(path), Some(memo)) = (a.str("--memo-file"), &cfg.memo) else {
         return;
     };
     match memo.save(std::path::Path::new(path)) {
@@ -445,24 +719,16 @@ fn memo_file_save(cfg: &CheckConfig, path: Option<&str>) {
     }
 }
 
-fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positionals(
-        "check",
-        args,
-        &["--model", "--jobs", "--cutover", "--engine", "--memo-file"],
-        &["--stats"],
-    )?;
-    let path = pos.first().ok_or("check: missing <file>")?;
-    let model_list = resolve_models(flag_value(args, "--model"))?;
-    let flags = CheckFlags::parse(args)?;
-    let jobs = flags.jobs;
-    let show_stats = args.iter().any(|a| a == "--stats");
-    let mut cfg = flags.with_memo_if_requested(CheckConfig::default());
-    flags.configure(&mut cfg);
-    memo_file_load(&cfg, flags.memo_file());
+fn cmd_check(a: &Args) -> Result<ExitCode, String> {
+    let path = a.pos.first().ok_or("check: missing <file>")?;
+    let model_list = select_models(a.str("--model"), models::all_models)?;
+    let jobs = jobs(a)?;
+    let show_stats = a.has("--stats");
+    let cfg = check_config(a, CheckConfig::default())?;
+    memo_file_load(&cfg, a);
     let suite = load(path)?;
     let results = check_suite(&suite, &model_list, &cfg, jobs);
-    memo_file_save(&cfg, flags.memo_file());
+    memo_file_save(&cfg, a);
     let mut failures = 0;
     for (ti, t) in suite.iter().enumerate() {
         println!("== {} ==", t.name);
@@ -509,12 +775,10 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         }
         println!();
     }
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
+    if failures > 0 {
         eprintln!("{failures} expectation(s) failed");
-        ExitCode::FAILURE
-    })
+    }
+    Ok(exit_status(failures == 0))
 }
 
 fn memo_json(memo: &MemoStats) -> String {
@@ -535,27 +799,19 @@ fn verdict_word(v: &Verdict) -> &'static str {
     }
 }
 
-fn cmd_corpus(args: &[String]) -> Result<ExitCode, String> {
-    let flags = CheckFlags::parse(args)?;
-    let jobs = flags.jobs;
-    let show_stats = args.iter().any(|a| a == "--stats");
-    let json_path = flag_value(args, "--json");
-    if args.iter().any(|a| a == "--engine-equiv") {
-        return corpus_engine_equiv(&flags, json_path);
-    }
-    if args.iter().any(|a| a == "--exhaustive") {
-        return corpus_exhaustive(jobs, show_stats, json_path, flags.cutover);
-    }
+fn cmd_corpus(a: &Args) -> Result<ExitCode, String> {
+    let jobs = jobs(a)?;
+    let show_stats = a.has("--stats");
+    let json_path = a.str("--json");
     // Decided verdicts are renaming-invariant, so the memo is safe here:
     // expectations compare only allowed/forbidden, never the witness.
-    let mut cfg = CheckConfig::default().with_memo();
-    flags.configure(&mut cfg);
+    let cfg = check_config(a, CheckConfig::default().with_memo())?;
     let memo = cfg.memo.clone().expect("with_memo attaches a cache");
-    memo_file_load(&cfg, flags.memo_file());
+    memo_file_load(&cfg, a);
     let suite = smc_programs::corpus::litmus_suite();
     let model_list = models::all_models();
     let results = check_suite(&suite, &model_list, &cfg, jobs);
-    memo_file_save(&cfg, flags.memo_file());
+    memo_file_save(&cfg, a);
     let mut failures = 0;
     let mut checked = 0;
     let mut nodes = 0u64;
@@ -626,9 +882,7 @@ fn cmd_corpus(args: &[String]) -> Result<ExitCode, String> {
                 .raw("memo", &memo_json(&memo_stats))
                 .finish(),
         );
-        let mut text = json_lines.join("\n");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_json_lines(path, &json_lines)?;
     }
     println!(
         "corpus: {} tests × {} models, {} expectation(s) checked, {} failure(s){}",
@@ -636,24 +890,13 @@ fn cmd_corpus(args: &[String]) -> Result<ExitCode, String> {
         model_list.len(),
         checked,
         failures,
-        if jobs > 1 {
-            format!(" [{jobs} jobs]")
-        } else {
-            String::new()
-        }
+        jobs_suffix(jobs)
     );
     if show_stats {
         println!("total search nodes: {nodes}");
-        println!(
-            "memo: {} hits, {} misses, {} inserts, {} evictions",
-            memo_stats.hits, memo_stats.misses, memo_stats.inserts, memo_stats.evictions
-        );
+        println!("{}", memo_line(&memo_stats));
     }
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_status(failures == 0))
 }
 
 /// `smc corpus --engine-equiv`: the engine drift gate. Every embedded
@@ -662,12 +905,13 @@ fn cmd_corpus(args: &[String]) -> Result<ExitCode, String> {
 /// wherever both decide they must agree, saturate must never report
 /// `Unsupported` there, and every saturate `Allowed` witness must pass
 /// the independent verifier. Exits nonzero on any divergence.
-fn corpus_engine_equiv(flags: &CheckFlags, json_path: Option<&str>) -> Result<ExitCode, String> {
+fn corpus_engine_equiv(a: &Args) -> Result<ExitCode, String> {
     use smc_core::verify::verify_witness;
 
+    let (jobs, json_path) = (jobs(a)?, a.str("--json"));
     let ex_cfg = CheckConfig {
         engine: EngineKind::Exhaustive,
-        parallel_cutover: flags.cutover,
+        parallel_cutover: a.num("--cutover", CheckConfig::default().parallel_cutover)?,
         ..CheckConfig::default()
     };
     let sat_cfg = CheckConfig {
@@ -676,8 +920,8 @@ fn corpus_engine_equiv(flags: &CheckFlags, json_path: Option<&str>) -> Result<Ex
     };
     let suite = smc_programs::corpus::litmus_suite();
     let model_list = models::saturating_models();
-    let ex = check_suite(&suite, &model_list, &ex_cfg, flags.jobs);
-    let sat = check_suite(&suite, &model_list, &sat_cfg, flags.jobs);
+    let ex = check_suite(&suite, &model_list, &ex_cfg, jobs);
+    let sat = check_suite(&suite, &model_list, &sat_cfg, jobs);
 
     let mut pairs = 0usize;
     let mut divergences = 0usize;
@@ -735,11 +979,7 @@ fn corpus_engine_equiv(flags: &CheckFlags, json_path: Option<&str>) -> Result<Ex
         model_list.len(),
         pairs,
         divergences,
-        if flags.jobs > 1 {
-            format!(" [{} jobs]", flags.jobs)
-        } else {
-            String::new()
-        }
+        jobs_suffix(jobs)
     );
     if let Some(path) = json_path {
         json_lines.push(
@@ -748,15 +988,9 @@ fn corpus_engine_equiv(flags: &CheckFlags, json_path: Option<&str>) -> Result<Ex
                 .num("divergences", divergences as u64)
                 .finish(),
         );
-        let mut text = json_lines.join("\n");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_json_lines(path, &json_lines)?;
     }
-    Ok(if divergences == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_status(divergences == 0))
 }
 
 /// `smc corpus --exhaustive`: classify the full universe of small
@@ -764,12 +998,8 @@ fn corpus_engine_equiv(flags: &CheckFlags, json_path: Option<&str>) -> Result<Ex
 /// Figure 5 models, with the memo table and lattice propagation on. One
 /// JSON line per history carries the verdict row, so a checked-in golden
 /// file can detect verdict drift between revisions.
-fn corpus_exhaustive(
-    jobs: usize,
-    show_stats: bool,
-    json_path: Option<&str>,
-    cutover: u64,
-) -> Result<ExitCode, String> {
+fn corpus_exhaustive(a: &Args) -> Result<ExitCode, String> {
+    let (jobs, show_stats, json_path) = (jobs(a)?, a.has("--stats"), a.str("--json"));
     let params = smc_core::histgen::GenParams {
         procs: 2,
         ops_per_proc: 2,
@@ -779,7 +1009,7 @@ fn corpus_exhaustive(
     let corpus = smc_core::histgen::all_histories(&params);
     let model_list = models::figure5_models();
     let mut cfg = CheckConfig::default().with_memo();
-    cfg.parallel_cutover = cutover;
+    cfg.parallel_cutover = a.num("--cutover", cfg.parallel_cutover)?;
     let memo = cfg.memo.clone().expect("with_memo attaches a cache");
     let (classifications, prop) =
         smc_core::lattice::classify_all_propagating(&corpus, &model_list, &cfg, jobs);
@@ -794,11 +1024,11 @@ fn corpus_exhaustive(
             let row: Vec<String> = model_list
                 .iter()
                 .zip(&c.allowed)
-                .map(|(m, a)| {
+                .map(|(m, allowed)| {
                     format!(
                         "{}:{}",
                         m.name,
-                        match a {
+                        match allowed {
                             Some(true) => "y",
                             Some(false) => "n",
                             None => "?",
@@ -827,9 +1057,7 @@ fn corpus_exhaustive(
                 .raw("memo", &memo_json(&memo_stats))
                 .finish(),
         );
-        let mut text = json_lines.join("\n");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_json_lines(path, &json_lines)?;
     }
     println!(
         "exhaustive: {} histories × {} models, {} checked, {} propagated, {} undecided{}",
@@ -838,47 +1066,29 @@ fn corpus_exhaustive(
         prop.checked,
         prop.propagated,
         undecided,
-        if jobs > 1 {
-            format!(" [{jobs} jobs]")
-        } else {
-            String::new()
-        }
+        jobs_suffix(jobs)
     );
     if show_stats {
-        println!(
-            "memo: {} hits, {} misses, {} inserts, {} evictions",
-            memo_stats.hits, memo_stats.misses, memo_stats.inserts, memo_stats.evictions
-        );
+        println!("{}", memo_line(&memo_stats));
     }
-    Ok(if undecided == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_status(undecided == 0))
 }
 
-fn cmd_matrix(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positionals(
-        "matrix",
-        args,
-        &["--jobs", "--cutover", "--engine", "--memo-file"],
-        &["--stats"],
-    )?;
-    let path = pos.first().ok_or("matrix: missing <file>")?;
-    let flags = CheckFlags::parse(args)?;
-    let jobs = flags.jobs;
-    let show_stats = args.iter().any(|a| a == "--stats");
+fn cmd_matrix(a: &Args) -> Result<ExitCode, String> {
+    let path = a.pos.first().ok_or("matrix: missing <file>")?;
+    let jobs = jobs(a)?;
+    let show_stats = a.has("--stats");
     let suite = load(path)?;
     let model_list = models::all_models();
-    let mut cfg = if show_stats || flags.memo_file.is_some() {
+    let base = if show_stats {
         CheckConfig::default().with_memo()
     } else {
         CheckConfig::default()
     };
-    flags.configure(&mut cfg);
-    memo_file_load(&cfg, flags.memo_file());
+    let cfg = check_config(a, base)?;
+    memo_file_load(&cfg, a);
     let results = check_suite(&suite, &model_list, &cfg, jobs);
-    memo_file_save(&cfg, flags.memo_file());
+    memo_file_save(&cfg, a);
     let name_w = suite.iter().map(|t| t.name.len()).max().unwrap_or(7).max(7);
     print!("{:<name_w$}", "history");
     for m in &model_list {
@@ -895,13 +1105,7 @@ fn cmd_matrix(args: &[String]) -> Result<ExitCode, String> {
         for mi in 0..model_list.len() {
             let r = &results[ti * model_list.len() + mi];
             row_nodes += r.stats.nodes_spent;
-            let cell = match &r.verdict {
-                Verdict::Allowed(_) => "yes",
-                Verdict::Disallowed => "no",
-                Verdict::Exhausted => "?",
-                Verdict::Unsupported(_) => "n/a",
-            };
-            print!(" {cell:>14}");
+            print!(" {:>14}", cell(&r.verdict));
         }
         if show_stats {
             print!(" {row_nodes:>12}");
@@ -912,11 +1116,7 @@ fn cmd_matrix(args: &[String]) -> Result<ExitCode, String> {
     if show_stats {
         println!("total search nodes: {nodes}");
         if let Some(memo) = &cfg.memo {
-            let s = memo.stats();
-            println!(
-                "memo: {} hits, {} misses, {} inserts, {} evictions",
-                s.hits, s.misses, s.inserts, s.evictions
-            );
+            println!("{}", memo_line(&memo.stats()));
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -941,46 +1141,26 @@ fn to_script(h: &History) -> OpScript {
     OpScript::new(threads, h.num_locs())
 }
 
-fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positionals(
-        "explore",
-        args,
-        &["--memory", "--model", "--jobs"],
-        &["--check"],
-    )?;
-    let path = pos.first().ok_or("explore: missing <file>")?;
-    let memory = flag_value(args, "--memory").ok_or("explore: missing --memory NAME")?;
-    let do_check = args.iter().any(|a| a == "--check");
-    let jobs = jobs_flag(args)?;
+fn cmd_explore(a: &Args) -> Result<ExitCode, String> {
+    let path = a.pos.first().ok_or("explore: missing <file>")?;
+    let memory = a.str("--memory").ok_or("explore: missing --memory NAME")?;
+    let jobs = jobs(a)?;
     let tests = load(path)?;
     let t = tests.first().ok_or("explore: file contains no history")?;
-    let script = to_script(&t.history);
-    let (n, l) = (t.history.num_procs(), t.history.num_locs());
-    let cfg = ExploreConfig::default();
 
-    fn go<M: MemorySystem>(
-        mem: M,
-        script: &OpScript,
-        cfg: &ExploreConfig,
-    ) -> (String, smc_sim::explore::ExploreOutcome) {
-        let name = mem.name();
-        (name, explore(&mem, script, cfg))
+    struct Explore(OpScript);
+    impl MachineFn for Explore {
+        type Out = (String, smc_sim::explore::ExploreOutcome);
+        fn call<M: MemorySystem>(self, make: impl Fn() -> M) -> Self::Out {
+            let mem = make();
+            (
+                mem.name(),
+                explore(&mem, &self.0, &ExploreConfig::default()),
+            )
+        }
     }
-
-    let (mem_name, out) = match memory {
-        "sc" => go(ScMem::new(n, l), &script, &cfg),
-        "tso" => go(TsoMem::new(n, l), &script, &cfg),
-        "tso-fwd" => go(TsoMem::with_forwarding(n, l), &script, &cfg),
-        "pram" => go(PramMem::new(n, l), &script, &cfg),
-        "causal" => go(CausalMem::new(n, l), &script, &cfg),
-        "pc" => go(PcMem::new(n, l), &script, &cfg),
-        "coherent" => go(CoherentMem::new(n, l), &script, &cfg),
-        "rcsc" => go(RcMem::new(SyncMode::Sc, n, l), &script, &cfg),
-        "rcpc" => go(RcMem::new(SyncMode::Pc, n, l), &script, &cfg),
-        "wo" => go(WoMem::new(n, l), &script, &cfg),
-        "hybrid" => go(HybridMem::new(n, l), &script, &cfg),
-        other => return Err(format!("unknown memory `{other}`")),
-    };
+    let (n, l) = (t.history.num_procs(), t.history.num_locs());
+    let (mem_name, out) = with_machine(memory, n, l, Explore(to_script(&t.history)))?;
     println!(
         "{}: {} distinct histories over {} states{}{}",
         mem_name,
@@ -989,7 +1169,7 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
         if out.truncated { " (TRUNCATED)" } else { "" },
         if out.bounded { " (bounded)" } else { "" },
     );
-    if !do_check {
+    if !a.has("--check") {
         for h in &out.histories {
             for line in h.to_string().lines() {
                 println!("    {line}");
@@ -1002,7 +1182,7 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
     // --check: classify every explored history against the models, using
     // the batch engine (explored histories come out in a deterministic
     // order, and batch results preserve input order).
-    let model_list = resolve_models(flag_value(args, "--model"))?;
+    let model_list = select_models(a.str("--model"), models::all_models)?;
     let check_cfg = CheckConfig::default();
     let results = smc_core::batch::check_matrix(&out.histories, &model_list, &check_cfg, jobs);
     print!("{:<8}", "");
@@ -1013,13 +1193,10 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
     for (hi, h) in out.histories.iter().enumerate() {
         print!("#{hi:<7}");
         for mi in 0..model_list.len() {
-            let cell = match &results[hi * model_list.len() + mi].verdict {
-                Verdict::Allowed(_) => "yes",
-                Verdict::Disallowed => "no",
-                Verdict::Exhausted => "?",
-                Verdict::Unsupported(_) => "n/a",
-            };
-            print!(" {cell:>14}");
+            print!(
+                " {:>14}",
+                cell(&results[hi * model_list.len() + mi].verdict)
+            );
         }
         println!();
         for line in h.to_string().lines() {
@@ -1029,51 +1206,38 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_bakery(args: &[String]) -> Result<ExitCode, String> {
-    let n: usize = flag_value(args, "--n")
-        .unwrap_or("2")
-        .parse()
-        .map_err(|_| "--n: not a number")?;
-    let runs: u64 = flag_value(args, "--runs")
-        .unwrap_or("1000")
-        .parse()
-        .map_err(|_| "--runs: not a number")?;
-    let memory = flag_value(args, "--memory").unwrap_or("rcpc");
+fn cmd_bakery(a: &Args) -> Result<ExitCode, String> {
+    let n: usize = a.num("--n", 2)?;
+    let runs: u64 = a.num("--runs", 1000)?;
+    let memory = a.str("--memory").unwrap_or("rcpc");
+    if !["sc", "tso", "rcsc", "rcpc", "wo", "hybrid"].contains(&memory) {
+        return Err(format!("bakery: unsupported memory `{memory}`"));
+    }
     let program = bakery(n, Label::Labeled);
-    let locs = program.num_locs();
-    if args.iter().any(|a| a == "--show-program") {
+    if a.has("--show-program") {
         println!("{program}");
     }
 
-    fn trial<M: MemorySystem>(
-        make: impl Fn() -> M,
-        program: &smc_programs::Program,
-        runs: u64,
-    ) -> (u64, Option<(u64, String, History)>) {
-        let mut violations = 0;
-        let mut first = None;
-        for seed in 0..runs {
-            let w = ProgramWorkload::new(program.clone(), 200);
-            let r = run_random(make(), w, seed, 200_000);
-            if let Some(v) = r.violation {
-                violations += 1;
-                if first.is_none() {
-                    first = Some((seed, v, r.history));
+    struct Trial<'p>(&'p smc_programs::Program, u64);
+    impl MachineFn for Trial<'_> {
+        type Out = (u64, Option<(u64, String, History)>);
+        fn call<M: MemorySystem>(self, make: impl Fn() -> M) -> Self::Out {
+            let mut violations = 0;
+            let mut first = None;
+            for seed in 0..self.1 {
+                let w = ProgramWorkload::new(self.0.clone(), 200);
+                let r = run_random(make(), w, seed, 200_000);
+                if let Some(v) = r.violation {
+                    violations += 1;
+                    if first.is_none() {
+                        first = Some((seed, v, r.history));
+                    }
                 }
             }
+            (violations, first)
         }
-        (violations, first)
     }
-
-    let (violations, first) = match memory {
-        "sc" => trial(|| ScMem::new(n, locs), &program, runs),
-        "tso" => trial(|| TsoMem::new(n, locs), &program, runs),
-        "rcsc" => trial(|| RcMem::new(SyncMode::Sc, n, locs), &program, runs),
-        "rcpc" => trial(|| RcMem::new(SyncMode::Pc, n, locs), &program, runs),
-        "wo" => trial(|| WoMem::new(n, locs), &program, runs),
-        "hybrid" => trial(|| HybridMem::new(n, locs), &program, runs),
-        other => return Err(format!("bakery: unsupported memory `{other}`")),
-    };
+    let (violations, first) = with_machine(memory, n, program.num_locs(), Trial(&program, runs))?;
     println!("Bakery n={n} on {memory}: {violations}/{runs} runs violated mutual exclusion");
     if let Some((seed, msg, history)) = first {
         println!("first violation (seed {seed}): {msg}");
@@ -1085,55 +1249,36 @@ fn cmd_bakery(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `smc separate`: search for model-separation witness histories.
-fn cmd_separate(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_separate(a: &Args) -> Result<ExitCode, String> {
     use smc_core::separate::{DirectionStatus, Separator};
 
-    let pos = positionals(
-        "separate",
-        args,
-        &[
-            "--jobs",
-            "--max-universe",
-            "--json",
-            "--memo-file",
-            "--emit-dir",
-            "--cutover",
-            "--engine",
-        ],
-        &["--all", "--no-minimize"],
-    )?;
-    let all = args.iter().any(|a| a == "--all");
-    let model_list: Vec<ModelSpec> = if all {
-        if !pos.is_empty() {
+    let model_list: Vec<ModelSpec> = if a.has("--all") {
+        if !a.pos.is_empty() {
             return Err("separate: --all takes no model arguments".into());
         }
         models::lattice_models()
     } else {
-        let [a, b] = pos[..] else {
+        let [x, y] = a.pos[..] else {
             return Err("separate: expected <model-a> <model-b>, or --all".into());
         };
         let ma =
-            models::by_name(a).ok_or_else(|| format!("unknown model `{a}` (try `smc models`)"))?;
+            models::by_name(x).ok_or_else(|| format!("unknown model `{x}` (try `smc models`)"))?;
         let mb =
-            models::by_name(b).ok_or_else(|| format!("unknown model `{b}` (try `smc models`)"))?;
+            models::by_name(y).ok_or_else(|| format!("unknown model `{y}` (try `smc models`)"))?;
         if ma.name == mb.name {
             return Err(format!(
-                "`{a}` and `{b}` are both {} — nothing to separate",
+                "`{x}` and `{y}` are both {} — nothing to separate",
                 ma.name
             ));
         }
         vec![ma, mb]
     };
-    let flags = CheckFlags::parse(args)?;
-    let jobs = flags.jobs;
-    let spec = flag_value(args, "--max-universe").unwrap_or("medium");
+    let jobs = jobs(a)?;
+    let spec = a.str("--max-universe").unwrap_or("medium");
     let universes = smc_core::separate::ladder(spec).map_err(|e| format!("--max-universe: {e}"))?;
-    let json_path = flag_value(args, "--json");
-    let minimize = !args.iter().any(|a| a == "--no-minimize");
-    let emit_dir = flag_value(args, "--emit-dir");
-    let mut cfg = CheckConfig::default().with_memo();
-    flags.configure(&mut cfg);
-    memo_file_load(&cfg, flags.memo_file());
+    let json_path = a.str("--json");
+    let cfg = check_config(a, CheckConfig::default().with_memo())?;
+    memo_file_load(&cfg, a);
 
     let t0 = std::time::Instant::now();
     let mut sep = Separator::new(model_list.clone(), cfg.clone(), jobs);
@@ -1160,10 +1305,10 @@ fn cmd_separate(args: &[String]) -> Result<ExitCode, String> {
             println!("    -> {resolved} direction(s) witnessed");
         }
     }
-    if minimize {
+    if !a.has("--no-minimize") {
         sep.minimize_found();
     }
-    memo_file_save(&cfg, flags.memo_file());
+    memo_file_save(&cfg, a);
     let wall = t0.elapsed();
     let last_label = universes.last().map_or_else(String::new, |u| u.label());
 
@@ -1240,7 +1385,7 @@ fn cmd_separate(args: &[String]) -> Result<ExitCode, String> {
         st.propagated,
         st.undecided,
         wall,
-        if jobs > 1 { format!(" [{jobs} jobs]") } else { String::new() }
+        jobs_suffix(jobs)
     );
 
     if let Some(path) = json_path {
@@ -1260,12 +1405,10 @@ fn cmd_separate(args: &[String]) -> Result<ExitCode, String> {
                 .num("wall_ms", wall.as_millis() as u64)
                 .finish(),
         );
-        let mut text = json_lines.join("\n");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_json_lines(path, &json_lines)?;
     }
 
-    if let Some(dir) = emit_dir {
+    if let Some(dir) = a.str("--emit-dir") {
         emit_separation_files(dir, &model_list, &sep)?;
     }
     Ok(ExitCode::SUCCESS)
@@ -1324,45 +1467,6 @@ fn emit_separation_files(
     Ok(())
 }
 
-/// Split a subcommand's `args` into positionals. Each of `value_flags`
-/// consumes the word after it, each of `switches` stands alone, and any
-/// other `--flag` is an error naming it: a misspelled flag must not be
-/// silently ignored.
-fn positionals<'a>(
-    cmd: &str,
-    args: &'a [String],
-    value_flags: &[&str],
-    switches: &[&str],
-) -> Result<Vec<&'a str>, String> {
-    let mut pos: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if value_flags.contains(&a) {
-            i += 2;
-            continue;
-        }
-        if !a.starts_with("--") {
-            pos.push(a);
-        } else if !switches.contains(&a) {
-            return Err(format!("{cmd}: unknown flag `{a}`"));
-        }
-        i += 1;
-    }
-    Ok(pos)
-}
-
-/// Parse an optional numeric flag with a default.
-fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag_value(args, name) {
-        None if args.iter().any(|a| a == name) => Err(format!("{name} requires a value")),
-        None => Ok(default),
-        Some(v) => v
-            .parse::<T>()
-            .map_err(|_| format!("{name}: `{v}` is not a valid number")),
-    }
-}
-
 /// Per-stream monitoring state for `smc monitor`: one incremental
 /// monitor plus the cursors tracking how much of its parsed input has
 /// been applied. A plain replay uses one stream; a `@sid`-prefixed
@@ -1402,6 +1506,15 @@ impl MonitorStream {
         match &self.label {
             Some(sid) => format!("[session {sid}] "),
             None => String::new(),
+        }
+    }
+
+    /// A JSON line, opened with the session id in a multi-session
+    /// replay.
+    fn json(&self) -> JsonObject {
+        match &self.label {
+            Some(sid) => JsonObject::new().str("session", sid),
+            None => JsonObject::new(),
         }
     }
 
@@ -1484,12 +1597,9 @@ impl MonitorStream {
                     }
                 }
                 if want_json {
-                    let mut line = JsonObject::new();
-                    if let Some(sid) = &self.label {
-                        line = line.str("session", sid);
-                    }
                     json_lines.push(
-                        line.num("event", rep.events as u64)
+                        self.json()
+                            .num("event", rep.events as u64)
                             .str("op", &what)
                             .num("frontier_states", rep.frontier_states)
                             .num("created", rep.created)
@@ -1516,72 +1626,40 @@ impl MonitorStream {
 
 /// `smc monitor`: stream a trace through the incremental admission
 /// monitor, reporting per-prefix verdicts as events arrive.
-fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_monitor(a: &Args) -> Result<ExitCode, String> {
     use smc_history::trace::{is_session_id, parse_trace_line, split_session_line};
     use smc_monitor::{Monitor, MonitorConfig, TriVerdict};
     use std::io::BufRead;
 
-    let pos = positionals(
-        "monitor",
-        args,
-        &[
-            "--model",
-            "--jobs",
-            "--json",
-            "--max-states",
-            "--cutover",
-            "--engine",
-            "--memo-file",
-            "--batch",
-            "--window",
-            "--checkpoint-file",
-            "--restore-from",
-        ],
-        &["--stats", "--corpus"],
-    )?;
-    let flags = CheckFlags::parse(args)?;
-    let jobs = flags.jobs;
-    let show_stats = args.iter().any(|a| a == "--stats");
-    let json_path = flag_value(args, "--json");
+    let show_stats = a.has("--stats");
+    let json_path = a.str("--json");
     // Feed granularity: --batch N amortizes interning, table growth and
     // restart-model settling over N events per feed_batch call. Verdict
     // transitions and per-step stats then report at batch granularity;
     // final verdicts are identical to per-event feeding.
-    let batch: usize = num_flag(args, "--batch", 1)?;
+    let batch: usize = a.num("--batch", 1)?;
     if batch == 0 {
         return Err("monitor: --batch must be at least 1".into());
     }
-    if args.iter().any(|a| a == "--corpus") {
-        if !pos.is_empty() {
-            return Err("monitor: --corpus takes no file argument".into());
-        }
-        return monitor_corpus(jobs, json_path);
-    }
-
-    let model_list: Vec<ModelSpec> = match flag_value(args, "--model") {
-        // Lattice order keeps stronger models first, so one frontier
-        // verdict propagates to as many weaker models as possible.
-        None | Some("all") => models::lattice_models(),
-        Some(name) => vec![models::by_name(name)
-            .ok_or_else(|| format!("unknown model `{name}` (try `smc models`)"))?],
-    };
+    // Lattice order keeps stronger models first, so one frontier
+    // verdict propagates to as many weaker models as possible.
+    let model_list = select_models(a.str("--model"), models::lattice_models)?;
     let mut cfg = MonitorConfig {
-        jobs,
+        jobs: jobs(a)?,
         ..MonitorConfig::default()
     };
-    cfg.max_frontier_states = num_flag(args, "--max-states", cfg.max_frontier_states)?;
+    cfg.max_frontier_states = a.num("--max-states", cfg.max_frontier_states)?;
     // --window N seals the decided prefix every N events, bounding
     // frontier memory (0 = unwindowed, the default).
-    let window: usize = num_flag(args, "--window", 0)?;
+    let window: usize = a.num("--window", 0)?;
     cfg.window = (window > 0).then_some(window);
-    cfg.check = flags.with_memo_if_requested(cfg.check);
-    flags.configure(&mut cfg.check);
-    memo_file_load(&cfg.check, flags.memo_file());
+    cfg.check = check_config(a, cfg.check)?;
+    memo_file_load(&cfg.check, a);
     // The memo cache is shared by Arc, so this clone saves the verdicts
     // the monitor's rechecks insert while it owns `cfg`.
     let memo_cfg = cfg.check.clone();
-    let checkpoint_file = flag_value(args, "--checkpoint-file");
-    let restore_from = flag_value(args, "--restore-from");
+    let checkpoint_file = a.str("--checkpoint-file");
+    let restore_from = a.str("--restore-from");
     // A restore must resume under the exact configuration the
     // checkpoint was cut with; `Monitor::restore` rejects mismatched
     // models, frontier caps and window sizes with a byte-offset error.
@@ -1592,10 +1670,10 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
             let bytes = std::fs::read(p).map_err(|e| format!("cannot read `{p}`: {e}"))?;
             let (cap, win) = smc_monitor::ckpt::peek_limits(&bytes)
                 .map_err(|e| format!("monitor: cannot restore `{p}`: {e}"))?;
-            if !args.iter().any(|a| a == "--max-states") {
+            if !a.has("--max-states") {
                 cfg.max_frontier_states = cap;
             }
-            if !args.iter().any(|a| a == "--window") {
+            if !a.has("--window") {
                 cfg.window = (win > 0).then_some(win);
             }
             let mon = Monitor::restore_bytes(&bytes, model_list.clone(), cfg.clone())
@@ -1606,7 +1684,7 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
         None => Monitor::new(model_list.clone(), cfg.clone()),
     };
 
-    let path = pos.first().copied().unwrap_or("-");
+    let path = a.pos.first().copied().unwrap_or("-");
     let reader: Box<dyn BufRead> = if path == "-" {
         Box::new(std::io::BufReader::new(std::io::stdin()))
     } else {
@@ -1659,12 +1737,9 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
             s.warnings += 1;
             eprintln!("warning: {}skipping malformed trace input: {e}", s.tag());
             if want_json {
-                let mut jl = JsonObject::new();
-                if let Some(sid) = &s.label {
-                    jl = jl.str("session", sid);
-                }
                 json_lines.push(
-                    jl.num("skipped_line", line_no as u64)
+                    s.json()
+                        .num("skipped_line", line_no as u64)
                         .str("error", &e.to_string())
                         .finish(),
                 );
@@ -1706,11 +1781,7 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
             };
             println!("  {:<16} {}{note}", m.name, v.word());
             if want_json {
-                let mut line = JsonObject::new();
-                if let Some(sid) = &s.label {
-                    line = line.str("session", sid);
-                }
-                let mut line = line.str("model", &m.name).str("verdict", v.word());
+                let mut line = s.json().str("model", &m.name).str("verdict", v.word());
                 if let Some(n) = s.mon.first_violation(i) {
                     line = line.num("first_violation", n as u64);
                 }
@@ -1739,17 +1810,14 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
             }
             if want_json {
                 for (wi, rec) in w.records().iter().enumerate() {
-                    let mut line = JsonObject::new();
-                    if let Some(sid) = &s.label {
-                        line = line.str("session", sid);
-                    }
                     let row: Vec<String> = model_list
                         .iter()
                         .zip(&rec.verdicts)
                         .map(|(m, v)| format!("{}:{}", m.name, v.word()))
                         .collect();
                     json_lines.push(
-                        line.num("window", (wi + 1) as u64)
+                        s.json()
+                            .num("window", (wi + 1) as u64)
                             .num("end", rec.end as u64)
                             .str("verdicts", &row.join(" "))
                             .finish(),
@@ -1836,25 +1904,20 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
                 .num("states_sealed", totals.states_sealed)
                 .finish(),
         );
-        let mut text = json_lines.join("\n");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_json_lines(path, &json_lines)?;
     }
-    memo_file_save(&memo_cfg, flags.memo_file());
-    Ok(if violated == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    memo_file_save(&memo_cfg, a);
+    Ok(exit_status(violated == 0))
 }
 
 /// `smc monitor --corpus`: the monitor golden gate. Every embedded
 /// litmus history is linearized to a trace, replayed event-by-event, and
 /// the final per-model verdicts are diffed against the batch checker.
-fn monitor_corpus(jobs: usize, json_path: Option<&str>) -> Result<ExitCode, String> {
+fn monitor_corpus(a: &Args) -> Result<ExitCode, String> {
     use smc_history::trace::Trace;
     use smc_monitor::{Monitor, MonitorConfig, TriVerdict};
 
+    let (jobs, json_path) = (jobs(a)?, a.str("--json"));
     let suite = smc_programs::corpus::litmus_suite();
     let model_list = models::all_models();
     let cfg = CheckConfig::default().with_memo();
@@ -1911,11 +1974,7 @@ fn monitor_corpus(jobs: usize, json_path: Option<&str>) -> Result<ExitCode, Stri
         mismatches,
         rechecks,
         propagated,
-        if jobs > 1 {
-            format!(" [{jobs} jobs]")
-        } else {
-            String::new()
-        }
+        jobs_suffix(jobs)
     );
     if let Some(path) = json_path {
         json_lines.push(
@@ -1927,63 +1986,38 @@ fn monitor_corpus(jobs: usize, json_path: Option<&str>) -> Result<ExitCode, Stri
                 .num("propagated", propagated)
                 .finish(),
         );
-        let mut text = json_lines.join("\n");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_json_lines(path, &json_lines)?;
     }
-    Ok(if mismatches == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_status(mismatches == 0))
 }
 
-/// Resolve the models a server (or its offline verification twin)
-/// monitors per session, in lattice order so frontier verdicts
+/// The [`SERVER`] and [`SESSION`] flags as a server configuration.
+/// Sessions monitor their models in lattice order, so frontier verdicts
 /// propagate maximally.
-fn serve_models(selector: Option<&str>) -> Result<Vec<ModelSpec>, String> {
-    match selector {
-        None | Some("all") => Ok(models::lattice_models()),
-        Some(name) => models::by_name(name)
-            .map(|m| vec![m])
-            .ok_or_else(|| format!("unknown model `{name}` (try `smc models`)")),
-    }
-}
-
-fn serve_config(args: &[String]) -> Result<smc_serve::ServeConfig, String> {
+fn serve_config(a: &Args) -> Result<smc_serve::ServeConfig, String> {
     let mut cfg = smc_serve::ServeConfig::default();
-    if let Some(a) = flag_value(args, "--listen") {
-        cfg.addr = a.to_owned();
-    }
-    cfg.workers = num_flag(args, "--workers", cfg.workers)?;
-    cfg.max_sessions = num_flag(args, "--max-sessions", cfg.max_sessions)?;
-    cfg.max_conns = num_flag(args, "--max-conns", cfg.max_conns)?;
-    cfg.queue_cap = num_flag(args, "--queue", cfg.queue_cap)?;
+    cfg.workers = a.num("--workers", cfg.workers)?;
+    cfg.max_sessions = a.num("--max-sessions", cfg.max_sessions)?;
+    cfg.max_conns = a.num("--max-conns", cfg.max_conns)?;
+    cfg.queue_cap = a.num("--queue", cfg.queue_cap)?;
     if cfg.queue_cap == 0 {
         return Err("serve: --queue must be at least 1".into());
     }
-    cfg.models = serve_models(flag_value(args, "--model"))?;
-    cfg.monitor.jobs = jobs_flag(args)?;
-    cfg.monitor.max_frontier_states =
-        num_flag(args, "--max-states", cfg.monitor.max_frontier_states)?;
-    let window: usize = num_flag(args, "--window", 0)?;
+    cfg.models = select_models(a.str("--model"), models::lattice_models)?;
+    cfg.monitor.jobs = jobs(a)?;
+    cfg.monitor.max_frontier_states = a.num("--max-states", cfg.monitor.max_frontier_states)?;
+    let window: usize = a.num("--window", 0)?;
     cfg.monitor.window = (window > 0).then_some(window);
-    if let Some(d) = flag_value(args, "--evict-dir") {
-        cfg.evict_dir = Some(std::path::PathBuf::from(d));
-    }
+    cfg.evict_dir = a.str("--evict-dir").map(std::path::PathBuf::from);
     Ok(cfg)
 }
 
 /// `smc serve`: run the multi-session streaming admission server until
-/// a client sends `SHUTDOWN`. With `--bench`, instead start an
-/// ephemeral in-process server, drive it with the in-tree load
-/// generator over loopback, verify every session's final verdict
-/// against the offline monitor, and report sustained events/sec plus
-/// query-latency percentiles (machine-readable via `--json`).
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let cfg = serve_config(args)?;
-    if args.iter().any(|a| a == "--bench") {
-        return serve_bench(args, cfg);
+/// a client sends `SHUTDOWN`.
+fn cmd_serve(a: &Args) -> Result<ExitCode, String> {
+    let mut cfg = serve_config(a)?;
+    if let Some(addr) = a.str("--listen") {
+        cfg.addr = addr.to_owned();
     }
     let server = smc_serve::Server::start(cfg).map_err(|e| format!("serve: {e}"))?;
     println!("listening on {}", server.addr());
@@ -1995,16 +2029,18 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn loadgen_flags(args: &[String]) -> Result<(smc_serve::loadgen::LoadgenConfig, usize), String> {
-    let sessions: usize = num_flag(args, "--sessions", 1024)?;
+/// The [`LOADGEN`] flags: the client configuration (no address, no
+/// shutdown) and the session count.
+fn loadgen_config(a: &Args) -> Result<(smc_serve::loadgen::LoadgenConfig, usize), String> {
+    let sessions: usize = a.num("--sessions", 1024)?;
     if sessions == 0 {
         return Err("--sessions must be at least 1".into());
     }
     let cfg = smc_serve::loadgen::LoadgenConfig {
         addr: String::new(),
-        conns: num_flag(args, "--conns", 8)?,
-        query_every: num_flag(args, "--query-every", 32)?,
-        shutdown: args.iter().any(|a| a == "--shutdown"),
+        conns: a.num("--conns", 8)?,
+        query_every: a.num("--query-every", 32)?,
+        shutdown: false,
     };
     if cfg.conns == 0 {
         return Err("--conns must be at least 1".into());
@@ -2055,10 +2091,14 @@ fn loadgen_report_lines(
     (human, json.finish())
 }
 
-fn serve_bench(args: &[String], mut cfg: smc_serve::ServeConfig) -> Result<ExitCode, String> {
-    let (mut lg, sessions) = loadgen_flags(args)?;
-    let spec = GenSpec::parse(args)?.with_total_events(num_flag(args, "--events", 64)?);
-    let work = gen_session_work(&spec, sessions)?;
+/// `smc serve --bench`: start an ephemeral in-process server, drive it
+/// with the in-tree load generator over loopback, verify every session's
+/// final verdict against the offline monitor, and report sustained
+/// events/sec plus query-latency percentiles.
+fn serve_bench(a: &Args) -> Result<ExitCode, String> {
+    let mut cfg = serve_config(a)?;
+    let (mut lg, sessions) = loadgen_config(a)?;
+    let work = gen_session_work(&GenSpec::from_args(a, Some(64))?, sessions)?;
     cfg.addr = "127.0.0.1:0".into();
     cfg.max_sessions = cfg.max_sessions.max(sessions);
     let model_list = cfg.models.clone();
@@ -2068,7 +2108,6 @@ fn serve_bench(args: &[String], mut cfg: smc_serve::ServeConfig) -> Result<ExitC
     let memo = cfg.monitor.check.memo.clone();
     let server = smc_serve::Server::start(cfg).map_err(|e| format!("serve: {e}"))?;
     lg.addr = server.addr().to_string();
-    lg.shutdown = false;
     let report = smc_serve::loadgen::run(&lg, &work)?;
     // Snapshot before `verify`: the offline twin shares the cache Arc,
     // and its replay traffic must not count as server memo activity.
@@ -2081,37 +2120,32 @@ fn serve_bench(args: &[String], mut cfg: smc_serve::ServeConfig) -> Result<ExitC
     }
     let (human, json) = loadgen_report_lines(&report, Some(mismatches.len()), memo_stats);
     println!("{human}");
-    if let Some(path) = flag_value(args, "--json") {
-        std::fs::write(path, format!("{json}\n"))
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    if let Some(path) = a.str("--json") {
+        write_json_lines(path, &[json])?;
         eprintln!("wrote {path}");
     }
-    Ok(if mismatches.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_status(mismatches.is_empty()))
 }
 
 /// `smc loadgen`: drive a *running* server (see `smc serve`) with
 /// generated multi-session traffic and report throughput, latency
 /// percentiles and (with `--verify`) a diff of every session's final
 /// verdict against the offline monitor.
-fn cmd_loadgen(args: &[String]) -> Result<ExitCode, String> {
-    let addr = flag_value(args, "--addr").ok_or("loadgen: missing --addr HOST:PORT")?;
-    let (mut lg, sessions) = loadgen_flags(args)?;
+fn cmd_loadgen(a: &Args) -> Result<ExitCode, String> {
+    let addr = a.str("--addr").ok_or("loadgen: missing --addr HOST:PORT")?;
+    let (mut lg, sessions) = loadgen_config(a)?;
     lg.addr = addr.to_owned();
-    let spec = GenSpec::parse(args)?.with_total_events(num_flag(args, "--events", 64)?);
-    let work = gen_session_work(&spec, sessions)?;
+    lg.shutdown = a.has("--shutdown");
+    let work = gen_session_work(&GenSpec::from_args(a, Some(64))?, sessions)?;
     let report = smc_serve::loadgen::run(&lg, &work)?;
-    let verified = if args.iter().any(|a| a == "--verify") {
+    let verified = if a.has("--verify") {
         // The offline twin assumes the server monitors the same models
         // (its default set, or the matching --model) under the same
         // per-session frontier budget (the serve default, or the
         // matching --max-states).
-        let model_list = serve_models(flag_value(args, "--model"))?;
+        let model_list = select_models(a.str("--model"), models::lattice_models)?;
         let mut mon_cfg = smc_serve::ServeConfig::default().monitor;
-        mon_cfg.max_frontier_states = num_flag(args, "--max-states", mon_cfg.max_frontier_states)?;
+        mon_cfg.max_frontier_states = a.num("--max-states", mon_cfg.max_frontier_states)?;
         let mismatches = smc_serve::loadgen::verify(&work, &report, &model_list, &mon_cfg);
         for m in mismatches.iter().take(5) {
             eprintln!("mismatch: {m}");
@@ -2122,45 +2156,11 @@ fn cmd_loadgen(args: &[String]) -> Result<ExitCode, String> {
     };
     let (human, json) = loadgen_report_lines(&report, verified, None);
     println!("{human}");
-    if let Some(path) = flag_value(args, "--json") {
-        std::fs::write(path, format!("{json}\n"))
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    if let Some(path) = a.str("--json") {
+        write_json_lines(path, &[json])?;
         eprintln!("wrote {path}");
     }
-    Ok(if verified.unwrap_or(0) == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-/// `smc trace`: generate traces (`gen`) or linearize litmus files
-/// (`from`).
-fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positionals(
-        "trace",
-        args,
-        &[
-            "--memory",
-            "--procs",
-            "--ops",
-            "--locs",
-            "--values",
-            "--alias-values",
-            "--seed",
-            "--out",
-            "--test",
-            "--events",
-            "--sessions",
-            "--churn",
-        ],
-        &[],
-    )?;
-    match pos.first().copied() {
-        Some("gen") => trace_gen(args),
-        Some("from") => trace_from(args, pos.get(1).copied()),
-        _ => Err("trace: expected `gen` or `from <file>`".into()),
-    }
+    Ok(exit_status(verified.unwrap_or(0) == 0))
 }
 
 fn write_out(path: Option<&str>, text: &str) -> Result<ExitCode, String> {
@@ -2176,11 +2176,11 @@ fn write_out(path: Option<&str>, text: &str) -> Result<ExitCode, String> {
 
 /// `smc trace from <file>`: linearize a litmus history in
 /// processor-major program order.
-fn trace_from(args: &[String], path: Option<&str>) -> Result<ExitCode, String> {
+fn trace_from(a: &Args) -> Result<ExitCode, String> {
     use smc_history::trace::{emit_trace, Trace};
-    let path = path.ok_or("trace from: missing <file>")?;
+    let path = a.pos.first().ok_or("trace from: missing <file>")?;
     let suite = load(path)?;
-    let t = match flag_value(args, "--test") {
+    let t = match a.str("--test") {
         Some(name) => suite
             .iter()
             .find(|t| t.name == name)
@@ -2201,7 +2201,7 @@ fn trace_from(args: &[String], path: Option<&str>) -> Result<ExitCode, String> {
     };
     let mut text = format!("# {}\n", t.name);
     text.push_str(&emit_trace(&Trace::from_history(&t.history)));
-    write_out(flag_value(args, "--out"), &text)
+    write_out(a.str("--out"), &text)
 }
 
 /// Random-trace generation parameters, shared by `smc trace gen`, the
@@ -2220,55 +2220,35 @@ struct GenSpec {
 }
 
 impl GenSpec {
-    fn parse(args: &[String]) -> Result<GenSpec, String> {
-        let procs: usize = num_flag(args, "--procs", 3)?;
-        let events: Option<usize> = match flag_value(args, "--events") {
-            None if args.iter().any(|a| a == "--events") => {
-                return Err("--events requires a value".into())
-            }
-            None => None,
-            Some(v) => Some(
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--events: `{v}` is not a positive integer"))?,
-            ),
-        };
+    /// The [`GEN`] flags (plus `--ops` when no `--events` count is given
+    /// or defaulted).
+    fn from_args(a: &Args, default_events: Option<usize>) -> Result<GenSpec, String> {
+        let procs: usize = a.num("--procs", 3)?;
+        let events = a.positive("--events")?.or(default_events);
         let ops: usize = match events {
             // Cover the requested total even when it does not divide
             // evenly; the surplus is trimmed from the emitted stream.
             Some(n) => n.div_ceil(procs.max(1)),
-            None => num_flag(args, "--ops", 4)?,
+            None => a.num("--ops", 4)?,
         };
-        let locs: usize = num_flag(args, "--locs", 2)?;
-        let values: i64 = num_flag(args, "--values", 2)?;
+        let locs: usize = a.num("--locs", 2)?;
+        let values: i64 = a.num("--values", 2)?;
         // Aliasing-heavy mode: write values come from a fresh counter
         // folded into a K-letter alphabet, so the emitted trace has the
         // *structure* of a fresh-value execution but every read ends up
         // with many same-value reads-from candidates — the adversarial
         // regime for checkers. Mutually exclusive with --values (it
         // replaces the value pool, it does not sample from one).
-        let alias_values: Option<i64> = match flag_value(args, "--alias-values") {
-            None if args.iter().any(|a| a == "--alias-values") => {
-                return Err("--alias-values requires a value".into())
-            }
-            None => None,
-            Some(v) => Some(
-                v.parse::<i64>()
-                    .ok()
-                    .filter(|&k| k >= 1)
-                    .ok_or_else(|| format!("--alias-values: `{v}` is not a positive integer"))?,
-            ),
-        };
-        if alias_values.is_some() && flag_value(args, "--values").is_some() {
+        let alias_values: Option<i64> = a.positive("--alias-values")?;
+        if alias_values.is_some() && a.has("--values") {
             return Err("trace gen: --alias-values and --values are mutually exclusive".into());
         }
-        let seed: u64 = num_flag(args, "--seed", 0)?;
+        let seed: u64 = a.num("--seed", 0)?;
         if procs == 0 || locs == 0 || values < 1 {
             return Err("trace gen: --procs/--locs/--values must be at least 1".into());
         }
         Ok(GenSpec {
-            memory: flag_value(args, "--memory").unwrap_or("tso").to_owned(),
+            memory: a.str("--memory").unwrap_or("tso").to_owned(),
             procs,
             events,
             ops,
@@ -2277,14 +2257,6 @@ impl GenSpec {
             alias_values,
             seed,
         })
-    }
-
-    /// Resize to exactly `n` total events (re-deriving the per-processor
-    /// op count the program is sized with).
-    fn with_total_events(mut self, n: usize) -> GenSpec {
-        self.events = Some(n);
-        self.ops = n.div_ceil(self.procs.max(1));
-        self
     }
 
     /// The provenance comment line `smc trace gen` writes above a
@@ -2334,25 +2306,16 @@ impl GenSpec {
             }
             threads.push(thread);
         }
-        let script = OpScript::new(threads, locs);
 
-        fn go<M: MemorySystem>(mem: M, script: &OpScript, seed: u64) -> smc_sim::sched::RunOutcome {
-            run_random(mem, script.clone(), seed, 200_000)
+        struct Run(OpScript, u64);
+        impl MachineFn for Run {
+            type Out = smc_sim::sched::RunOutcome;
+            fn call<M: MemorySystem>(self, make: impl Fn() -> M) -> Self::Out {
+                run_random(make(), self.0, self.1, 200_000)
+            }
         }
-        let out = match self.memory.as_str() {
-            "sc" => go(ScMem::new(procs, locs), &script, seed),
-            "tso" => go(TsoMem::new(procs, locs), &script, seed),
-            "tso-fwd" => go(TsoMem::with_forwarding(procs, locs), &script, seed),
-            "pram" => go(PramMem::new(procs, locs), &script, seed),
-            "causal" => go(CausalMem::new(procs, locs), &script, seed),
-            "pc" => go(PcMem::new(procs, locs), &script, seed),
-            "coherent" => go(CoherentMem::new(procs, locs), &script, seed),
-            "rcsc" => go(RcMem::new(SyncMode::Sc, procs, locs), &script, seed),
-            "rcpc" => go(RcMem::new(SyncMode::Pc, procs, locs), &script, seed),
-            "wo" => go(WoMem::new(procs, locs), &script, seed),
-            "hybrid" => go(HybridMem::new(procs, locs), &script, seed),
-            other => return Err(format!("unknown memory `{other}`")),
-        };
+        let run = Run(OpScript::new(threads, locs), seed);
+        let out = with_machine(&self.memory, procs, locs, run)?;
         let trace = match self.events {
             Some(n) if out.trace.len() > n => {
                 // One linear pass over the first n events; re-emitting or
@@ -2467,13 +2430,13 @@ fn gen_session_work(
 /// line-by-line under a seeded shuffle, each line `@sid`-prefixed — the
 /// multi-session wire format `smc serve` ingests and
 /// `parse_multi_trace` demultiplexes.
-fn trace_gen(args: &[String]) -> Result<ExitCode, String> {
+fn trace_gen(a: &Args) -> Result<ExitCode, String> {
     use smc_history::trace::{emit_trace, session_line};
     use smc_prng::SmallRng;
 
-    let spec = GenSpec::parse(args)?;
-    let sessions: usize = num_flag(args, "--sessions", 0)?;
-    let churn: usize = num_flag(args, "--churn", 0)?;
+    let spec = GenSpec::from_args(a, None)?;
+    let sessions: usize = a.num("--sessions", 0)?;
+    let churn: usize = a.num("--churn", 0)?;
     if churn > 0 && sessions > 0 {
         return Err("trace gen: --churn and --sessions are mutually exclusive".into());
     }
@@ -2484,7 +2447,7 @@ fn trace_gen(args: &[String]) -> Result<ExitCode, String> {
             1,
         );
         text.push_str(&gen_churn_text(&spec, churn)?);
-        return write_out(flag_value(args, "--out"), &text);
+        return write_out(a.str("--out"), &text);
     }
     if sessions == 0 {
         let (trace, completed) = spec.generate()?;
@@ -2493,7 +2456,7 @@ fn trace_gen(args: &[String]) -> Result<ExitCode, String> {
             text.push_str("# note: run hit the step limit before draining\n");
         }
         text.push_str(&emit_trace(&trace));
-        return write_out(flag_value(args, "--out"), &text);
+        return write_out(a.str("--out"), &text);
     }
 
     let work = gen_session_work(&spec, sessions)?;
@@ -2528,10 +2491,10 @@ fn trace_gen(args: &[String]) -> Result<ExitCode, String> {
             live.swap_remove(k);
         }
     }
-    write_out(flag_value(args, "--out"), &text)
+    write_out(a.str("--out"), &text)
 }
 
-fn cmd_models() -> Result<ExitCode, String> {
+fn cmd_models(_: &Args) -> Result<ExitCode, String> {
     println!("Declarative models (for `smc check --model ...`):");
     for m in models::all_models() {
         println!(
@@ -2566,7 +2529,7 @@ fn cmd_models() -> Result<ExitCode, String> {
         );
     }
     println!("\nOperational machines (for `smc explore --memory ...`):");
-    println!("  sc tso tso-fwd pram causal pc coherent rcsc rcpc wo hybrid");
+    println!("  {}", MACHINES.join(" "));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -2574,75 +2537,222 @@ fn cmd_models() -> Result<ExitCode, String> {
 mod tests {
     use super::*;
 
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    fn entry(usage: &str) -> &'static Cmd {
+        COMMANDS.iter().find(|c| c.usage == usage).expect("entry")
+    }
+
+    /// Select and parse a whole `smc` command line without running it.
+    fn parses(words: &[String]) -> Result<&'static str, String> {
+        let (cmd, rest) = select(words)?;
+        parse(cmd, rest).map(|_| cmd.usage)
+    }
+
     #[test]
     fn flag_parsing() {
-        let args: Vec<String> = ["x.litmus", "--model", "TSO", "--runs", "5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(flag_value(&args, "--model"), Some("TSO"));
-        assert_eq!(flag_value(&args, "--runs"), Some("5"));
-        assert_eq!(flag_value(&args, "--nope"), None);
-        assert_eq!(
-            positionals("t", &args, &["--model", "--runs"], &[]).unwrap(),
-            vec!["x.litmus"]
-        );
+        let v = argv("--stats x.litmus --model TSO --jobs 3");
+        let a = parse(entry("check <file>"), &v).unwrap();
+        assert_eq!(a.pos, ["x.litmus"]);
+        assert_eq!(a.str("--model"), Some("TSO"));
+        assert!(a.has("--stats") && !a.has("--engine"));
+        assert_eq!(jobs(&a), Ok(3));
+        for (line, err) in [
+            ("x --modle sc", "check: unknown flag `--modle`"),
+            ("x --model", "check: --model requires a value"),
+            ("x --model --stats", "check: --model requires a value"),
+            ("x --jobs 2 --jobs 4", "check: --jobs given twice"),
+            ("x --stats --stats", "check: --stats given twice"),
+        ] {
+            let e = parse(entry("check <file>"), &argv(line)).err();
+            assert_eq!(e.as_deref(), Some(err), "{line}");
+        }
+        let e = parse(entry("corpus"), &argv("extra")).err();
+        assert_eq!(e.as_deref(), Some("corpus: unexpected argument `extra`"));
+        let e = parse(entry("check <file>"), &argv("a.litmus b.litmus")).err();
+        assert_eq!(e.as_deref(), Some("check: unexpected argument `b.litmus`"));
+        let v = argv("--jobs 0");
+        assert!(jobs(&parse(entry("corpus"), &v).unwrap()).is_err());
     }
 
     #[test]
     fn engine_flag_parsing() {
-        let to_args = |s: &[&str]| -> Vec<String> { s.iter().map(|x| x.to_string()).collect() };
-        assert_eq!(engine_flag(&to_args(&[])).unwrap(), EngineKind::Auto);
-        assert_eq!(
-            engine_flag(&to_args(&["--engine", "saturate"])).unwrap(),
-            EngineKind::Saturate
-        );
-        assert_eq!(
-            engine_flag(&to_args(&["--engine", "exhaustive"])).unwrap(),
-            EngineKind::Exhaustive
-        );
-        assert_eq!(
-            engine_flag(&to_args(&["--engine", "auto"])).unwrap(),
-            EngineKind::Auto
-        );
-        assert!(engine_flag(&to_args(&["--engine"])).is_err());
-        assert!(engine_flag(&to_args(&["--engine", "warp"])).is_err());
+        let engine = |line: &str| {
+            let v = argv(line);
+            check_config(&parse(entry("matrix <file>"), &v)?, CheckConfig::default())
+                .map(|c| c.engine)
+        };
+        assert_eq!(engine(""), Ok(EngineKind::Auto));
+        assert_eq!(engine("--engine auto"), Ok(EngineKind::Auto));
+        assert_eq!(engine("--engine saturate"), Ok(EngineKind::Saturate));
+        assert_eq!(engine("--engine exhaustive"), Ok(EngineKind::Exhaustive));
+        assert!(engine("--engine").is_err());
+        assert!(engine("--engine warp").is_err());
     }
 
     #[test]
     fn check_flags_parse_and_configure() {
-        let args: Vec<String> = [
-            "--jobs",
-            "3",
-            "--cutover",
-            "7",
-            "--engine",
-            "saturate",
-            "--memo-file",
-            "m.bin",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let flags = CheckFlags::parse(&args).unwrap();
-        assert_eq!(flags.jobs, 3);
-        assert_eq!(flags.memo_file(), Some("m.bin"));
-        let mut cfg = CheckConfig::default();
-        flags.configure(&mut cfg);
+        let v = argv("--jobs 3 --cutover 7 --engine saturate --memo-file m.bin");
+        let a = parse(entry("check <file>"), &v).unwrap();
+        assert_eq!(jobs(&a), Ok(3));
+        assert_eq!(a.str("--memo-file"), Some("m.bin"));
+        let cfg = check_config(&a, CheckConfig::default()).unwrap();
         assert_eq!(cfg.parallel_cutover, 7);
         assert_eq!(cfg.engine, EngineKind::Saturate);
-        // Defaults when no flags are given.
-        let flags = CheckFlags::parse(&[]).unwrap();
-        assert_eq!(flags.jobs, 1);
-        assert_eq!(flags.engine, EngineKind::Auto);
-        assert!(flags.memo_file().is_none());
+        assert!(cfg.memo.is_some(), "--memo-file attaches a cache");
+        // Defaults when no flags are given, and no cache.
+        let a = parse(entry("check <file>"), &[]).unwrap();
+        let cfg = check_config(&a, CheckConfig::default()).unwrap();
+        assert_eq!(jobs(&a), Ok(1));
+        assert_eq!(
+            cfg.parallel_cutover,
+            CheckConfig::default().parallel_cutover
+        );
+        assert_eq!(cfg.engine, EngineKind::Auto);
+        assert!(cfg.memo.is_none() && a.str("--memo-file").is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not declare")]
+    fn getter_for_an_undeclared_flag_panics() {
+        let a = parse(entry("corpus --engine-equiv"), &[]).unwrap();
+        a.has("--engine");
+    }
+
+    /// Every flag name has one declaration, no table lists a name twice
+    /// or claims `--help`, and every declaration reads `--name [META]:
+    /// help`.
+    #[test]
+    fn flag_tables_are_well_formed() {
+        let mut seen: Vec<Flag> = Vec::new();
+        for cmd in COMMANDS {
+            let names: Vec<&str> = cmd.flags().map(Flag::name).collect();
+            for (i, f) in cmd.flags().enumerate() {
+                let (name, (head, help)) = (f.name(), f.split());
+                assert!(name.starts_with("--") && name != "--help", "{name}");
+                assert!(!help.is_empty() && !head.ends_with(' '), "{name}");
+                assert!(!names[..i].contains(&name), "{}: {name} twice", cmd.usage);
+                assert!(!cmd.name().split(' ').any(|w| w == name), "{name}");
+                match seen.iter().find(|s| s.name() == name) {
+                    Some(s) => assert_eq!(*s, f, "{name} declared twice"),
+                    None => seen.push(f),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn modes_and_subcommands_select_their_entry() {
+        for (line, usage, rest) in [
+            ("corpus --jobs 2", "corpus", 2),
+            ("corpus --jobs 2 --exhaustive", "corpus --exhaustive", 3),
+            ("corpus --engine-equiv", "corpus --engine-equiv", 1),
+            ("monitor --corpus", "monitor --corpus", 1),
+            ("monitor -", "monitor [<file>|-]", 1),
+            ("serve --bench", "serve --bench", 1),
+            ("trace gen --seed 1", "trace gen", 2),
+            ("trace from f", "trace from <file>", 1),
+        ] {
+            let v = argv(line);
+            let (cmd, r) = select(&v).unwrap();
+            assert_eq!((cmd.usage, r.len()), (usage, rest), "{line}");
+        }
+        let e = select(&argv("trace --seed 1")).err();
+        assert_eq!(e.as_deref(), Some("trace: expected `gen` or `from <file>`"));
+        // Two modes at once: the other mode's switch is not in the table.
+        let e = parses(&argv("corpus --exhaustive --engine-equiv")).unwrap_err();
+        assert!(e.contains("unknown flag `--engine-equiv`"), "{e}");
+    }
+
+    /// The argument vectors that the gate script, CI, the README and the
+    /// benchmark harness pass to `smc` all parse, so a flag-table change
+    /// that would break one of them fails here first.
+    #[test]
+    fn callers_argument_lists_parse() {
+        let sources = [
+            include_str!("../../../scripts/check.sh"),
+            include_str!("../../../.github/workflows/ci.yml"),
+            include_str!("../../../README.md"),
+        ];
+        let mut lines: Vec<Vec<String>> = Vec::new();
+        for text in sources {
+            for line in text.replace("\\\n", " ").lines() {
+                let start = (line.find("smc -- ").map(|i| i + 7))
+                    .or_else(|| line.find("release/smc ").map(|i| i + 12));
+                if let Some(i) = start {
+                    let words = line[i..].split_whitespace();
+                    let words = words.take_while(|w| !w.starts_with(['>', '&', '#', '|']));
+                    lines.push(words.map(str::to_owned).collect());
+                }
+            }
+        }
+        assert!(lines.len() >= 18, "found {} command lines", lines.len());
+        // perfbench/src: gen.rs (SESSION_SHAPE and its extension),
+        // oneshot.rs (SEPARATE_ARGS, the check runs and the setup
+        // probes) and serve_load.rs.
+        lines.extend(
+            [
+                "trace gen --memory tso --procs 3 --locs 2 --values 2 --events 64 \
+                 --sessions 1024 --seed 7",
+                "separate --all --max-universe medium --jobs 2",
+                "separate --all --max-universe 2x1x1x1 --jobs 2",
+                "check suite.litmus --model TSO --engine auto",
+                "serve --listen 127.0.0.1:0 --workers 1",
+            ]
+            .map(argv),
+        );
+        for words in &lines {
+            assert!(parses(words).is_ok(), "{words:?}: {:?}", parses(words));
+        }
+    }
+
+    #[test]
+    fn help_is_generated_from_the_tables() {
+        let check = usage_for(&argv("check"));
+        assert!(
+            check.contains("smc check <file> [--model NAME] [--stats]"),
+            "{check}"
+        );
+        assert!(check.contains("--memo-file PATH"), "{check}");
+        assert!(
+            check.contains("keep decided verdicts across runs"),
+            "{check}"
+        );
+        assert!(!check.contains("smc corpus"), "{check}");
+        let trace = usage_for(&argv("trace"));
+        assert!(trace.contains("smc trace gen") && trace.contains("smc trace from"));
+        let all = usage();
+        for cmd in COMMANDS {
+            assert!(all.contains(&format!("smc {}", cmd.usage)), "{}", cmd.usage);
+        }
+        assert!(all.contains(&MACHINES.join(" ")));
+        assert_eq!(usage_for(&argv("frobnicate")), all);
+    }
+
+    #[test]
+    fn every_machine_name_dispatches() {
+        struct Name;
+        impl MachineFn for Name {
+            type Out = String;
+            fn call<M: MemorySystem>(self, make: impl Fn() -> M) -> String {
+                make().name()
+            }
+        }
+        for name in MACHINES {
+            assert!(with_machine(name, 2, 2, Name).is_ok(), "{name}");
+        }
+        assert!(with_machine("bogus", 2, 2, Name).is_err());
     }
 
     #[test]
     fn resolve_model_selectors() {
-        assert!(resolve_models(None).unwrap().len() > 5);
-        assert_eq!(resolve_models(Some("tso")).unwrap()[0].name, "TSO");
-        assert!(resolve_models(Some("bogus")).is_err());
+        assert!(select_models(None, models::all_models).unwrap().len() > 5);
+        let all = select_models(Some("all"), models::lattice_models).unwrap();
+        assert_eq!(all.len(), models::lattice_models().len());
+        assert_eq!(select_models(Some("tso"), Vec::new).unwrap()[0].name, "TSO");
+        assert!(select_models(Some("bogus"), models::all_models).is_err());
     }
 
     #[test]
@@ -2653,7 +2763,7 @@ mod tests {
 
     #[test]
     fn models_subcommand_succeeds() {
-        assert!(cmd_models().is_ok());
+        assert!(cmd_models(&parse(entry("models"), &[]).unwrap()).is_ok());
     }
 
     #[test]

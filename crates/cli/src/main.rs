@@ -1,18 +1,13 @@
 //! `smc` — command-line front end to the characterization framework.
 //!
-//! ```text
-//! smc check <file> [--model NAME]     check a litmus history/suite
-//! smc matrix <file>                   classification matrix for a suite
-//! smc explore <file> --memory NAME    enumerate an operational machine
-//! smc bakery [--memory NAME] [--n N] [--runs R]
-//! smc separate <model-a> <model-b>    search for a separating witness
-//! smc separate --all                  separate every unlabeled model pair
-//! smc models                          list the available models
-//! ```
+//! `smc help` lists every command; `smc <command> --help` lists one
+//! command's flags. Both texts are generated from the flag tables in
+//! `commands.rs`, which also drive argument parsing.
 //!
 //! Files use the litmus notation of `smc-history` (`p: w(x)1 r(y)0`; see
-//! the README). Exit status is nonzero when a suite expectation fails or
-//! a requested verdict is `Disallowed`.
+//! the README). Exit status is 1 when a check fails (a suite expectation
+//! mismatches, a monitored model ends violated, a gate finds a
+//! divergence) and 2 on a usage error.
 
 use std::process::ExitCode;
 
@@ -26,7 +21,7 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!();
-            eprintln!("{}", commands::USAGE);
+            eprint!("{}", commands::usage_for(&args));
             ExitCode::from(2)
         }
     }

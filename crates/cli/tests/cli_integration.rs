@@ -112,25 +112,123 @@ fn check_splits_switches_and_rejects_unknown_flags() {
     assert!(stderr.contains("unknown flag `--modle`"), "{stderr}");
 }
 
+/// Run `smc` on a command line it must refuse: exit code 2 and an
+/// error on stderr. Returns stdout and stderr.
+fn usage_error(args: &[&str]) -> (String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_smc"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    );
+    assert_eq!(out.status.code(), Some(2), "{args:?}\n{stdout}\n{stderr}");
+    assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    (stdout, stderr)
+}
+
 #[test]
-fn every_positional_command_rejects_unknown_flags() {
+fn every_command_rejects_unknown_flags() {
     let f = write_tmp(
         "smc_unknown_flag.litmus",
         "p: w(x)1 r(y)0\nq: w(y)1 r(x)0\n",
     );
     for args in [
+        vec!["check", f.as_str(), "--bogus"],
+        vec!["corpus", "--bogus"],
         vec!["matrix", f.as_str(), "--bogus"],
         vec!["explore", f.as_str(), "--memory", "sc", "--bogus"],
+        vec!["bakery", "--bogus"],
         vec!["separate", "sc", "tso", "--bogus"],
         vec!["monitor", f.as_str(), "--bogus"],
+        // Refused before binding a socket (a bound server would block
+        // here, and print its address)...
+        vec!["serve", "--bogus"],
+        // ...and before connecting to anything.
+        vec!["loadgen", "--addr", "127.0.0.1:1", "--bogus"],
         vec!["trace", "gen", "--bogus"],
+        vec!["models", "--bogus"],
     ] {
-        let (ok, _, stderr) = smc(&args);
-        assert!(!ok, "{args:?} was accepted");
+        let (stdout, stderr) = usage_error(&args);
         assert!(
             stderr.contains("unknown flag `--bogus`"),
             "{args:?}: {stderr}"
         );
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        // The error names the failing command's usage, not every command.
+        assert!(stderr.contains(&format!("smc {}", args[0])), "{stderr}");
+        assert!(!stderr.contains("memories for --memory"), "{stderr}");
+    }
+}
+
+/// Command lines that used to run with a flag silently ignored, or
+/// misread, now exit 2 with an error naming the flag.
+#[test]
+fn misspelled_missing_and_repeated_flags_are_refused() {
+    let path = format!("{}/../../litmus/paper.litmus", env!("CARGO_MANIFEST_DIR"));
+    let trace = write_tmp("smc_refused.trace", "p w(x)1\nq r(x)1\n");
+    for (args, flag) in [
+        (vec!["bakery", "--runz", "5", "--memory", "sc"], "--runz"),
+        (vec!["corpus", "--jbos", "4"], "--jbos"),
+        (
+            vec!["serve", "--bench", "--sesions", "2", "--workrs", "1"],
+            "--sesions",
+        ),
+        (vec!["check", path.as_str(), "--model"], "--model"),
+        (
+            vec!["monitor", trace.as_str(), "--json", "--stats"],
+            "--json",
+        ),
+        (
+            vec!["monitor", "--corpus", "--model", "TSO", "--window", "3"],
+            "--model",
+        ),
+        (
+            vec![
+                "trace",
+                "from",
+                path.as_str(),
+                "--procs",
+                "9",
+                "--churn",
+                "2",
+            ],
+            "--procs",
+        ),
+        (
+            vec!["check", path.as_str(), "--jobs", "2", "--jobs", "4"],
+            "--jobs",
+        ),
+    ] {
+        let (_, stderr) = usage_error(&args);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.contains(flag), "{args:?}: {stderr}");
+    }
+    // `--stats` was taken as the JSON path: no such file may appear.
+    assert!(!std::path::Path::new("--stats").exists());
+}
+
+#[test]
+fn every_command_prints_its_help() {
+    let (ok, stdout, stderr) = smc(&["check", "--help"]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("smc check <file> [--model NAME] [--stats]"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("--engine exhaustive|saturate|auto"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("smc corpus"), "{stdout}");
+    for cmd in [
+        "corpus", "matrix", "explore", "bakery", "separate", "monitor", "serve", "loadgen",
+        "trace", "models",
+    ] {
+        let (ok, stdout, stderr) = smc(&[cmd, "--help"]);
+        assert!(ok, "{cmd}: {stderr}");
+        assert!(stdout.contains(&format!("smc {cmd}")), "{cmd}: {stdout}");
     }
 }
 
